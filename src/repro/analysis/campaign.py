@@ -161,25 +161,19 @@ def completed_runs_from_journal(
     dropped, so resume re-runs that seed from scratch and the final
     report stays bit-identical to an uninterrupted campaign.
 
-    Run grouping goes through :func:`~repro.obs.journal.run_records`,
-    which demultiplexes chain-stamped population journals before
-    splitting on ``run_start`` — so resuming from a ``--chains``
-    campaign journal sees each chain's run intact instead of N
-    interleaved fragments.  Unstamped journals group exactly as before.
+    Runs pair up in :func:`~repro.obs.journal.run_records` order, which
+    demultiplexes chain-stamped population journals before splitting on
+    ``run_start`` — so resuming from a ``--chains`` campaign journal
+    sees each chain's run intact instead of N interleaved fragments.
     """
-    from repro.obs.journal import reports_from_records, run_records
+    from repro.obs.journal import reports_from_records
+    from repro.obs.rollup import fold_records
 
-    runs = run_records(records)
-    completed: dict[int, SearchReport] = {}
-    for run in runs:
-        seed = run[0].get("seed")
-        if seed is None:
-            continue
-        if not any(record.get("t") == "run_end" for record in run):
-            continue
-        (report,) = reports_from_records(run)
-        completed[int(seed)] = report
-    return completed
+    runs = zip(fold_records(records).runs(), reports_from_records(records))
+    return {
+        int(run.seed): report for run, report in runs
+        if run.seed is not None and run.complete
+    }
 
 
 @dataclasses.dataclass

@@ -30,13 +30,9 @@ benign jitter does not gate.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
-from repro.obs.coverage import coverage_from_records
-from repro.obs.journal import journal_summary
-from repro.obs.profiler import events_from_records, self_times
-from repro.obs.sadiag import acceptance_rate, time_to_first_anomaly
+from repro.obs.rollup import fold_records, mfs_shape_key  # noqa: F401
 from repro.obs.schema import RECORD_FIELDS
 
 #: Default relative tolerance before a worse value counts as a regression.
@@ -92,101 +88,27 @@ def describe_unknown_kinds(records: list[dict]) -> list[str]:
 
 
 def latency_metrics(records: list[dict]) -> dict:
-    """The journal's latency family: count, median p99, worst inflation.
-
-    A journal without latency records (schema v3, or a run with the
-    trigger disabled) yields count 0 and ``None`` aggregates, which the
-    diff renders as "-" rather than inventing a zero latency.
+    """The journal's latency family: count, median p99, worst inflation
+    (count 0 and ``None`` aggregates without latency records).
     """
-    p99s: list[float] = []
-    inflations: list[float] = []
-    for record in records:
-        if record.get("t") != "latency":
-            continue
-        p99s.append(float(record["p99_us"]))
-        inflations.append(float(record["inflation"]))
-    p99s.sort()
-    median: Optional[float] = None
-    if p99s:
-        mid = len(p99s) // 2
-        if len(p99s) % 2:
-            median = p99s[mid]
-        else:
-            median = (p99s[mid - 1] + p99s[mid]) / 2.0
-    return {
-        "latency_records": len(p99s),
-        "latency_p99_us_median": median,
-        "latency_inflation_max": max(inflations) if inflations else None,
-    }
+    return fold_records(records).latency_metrics()
 
 
 def isolation_metrics(records: list[dict]) -> dict:
-    """The journal's isolation family: co-run experiments, worst case.
-
-    Solo journals (schema ≤ v5, or any run without ``--victim``) carry
-    no ``interference`` fields and yield count 0 with a ``None``
-    minimum, rendered as "-" by the diff.  Non-finite interference
-    values (the zero-fair-share sentinel) are excluded from the
-    minimum — NaN would poison the comparison, not inform it.
+    """The journal's isolation family: co-run experiments, worst case
+    (non-finite sentinels excluded; count 0 and ``None`` when solo).
     """
-    values: list[float] = []
-    for record in records:
-        if record.get("t") != "experiment":
-            continue
-        interference = record.get("interference")
-        if interference is None:
-            continue
-        value = float(interference)
-        if math.isfinite(value):
-            values.append(value)
-    return {
-        "isolation_experiments": len(values),
-        "interference_min": min(values) if values else None,
-    }
-
-
-def mfs_shape_key(mfs_record: dict) -> str:
-    """Canonical shape label of one journaled MFS.
-
-    The shape abstracts the region away from its exact bounds: symptom
-    class, how many interval and membership conditions constrain it,
-    and whether it needs a mixed message pattern.  Refactors that move a
-    bound slightly keep the shape; refactors that change *what kind* of
-    anomaly regions the search extracts do not — which is exactly the
-    granularity the canary's population gate wants.
-    """
-    return (
-        f"{mfs_record.get('symptom', '?')}"
-        f"|i{len(mfs_record.get('intervals', ()))}"
-        f"|m{len(mfs_record.get('memberships', ()))}"
-        f"|x{int(bool(mfs_record.get('requires_mix')))}"
-    )
+    return fold_records(records).isolation_metrics()
 
 
 def mfs_shape_counts(records: list[dict]) -> dict:
     """Multiset (shape → count) of every MFS journaled as an anomaly."""
-    counts: dict[str, int] = {}
-    for record in records:
-        if record.get("t") != "anomaly":
-            continue
-        key = mfs_shape_key(record.get("mfs", {}))
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))
+    return fold_records(records).mfs_shape_counts()
 
 
 def mfs_condition_sizes(records: list[dict]) -> list[int]:
     """Sorted multiset of per-MFS condition counts (the MFS 'sizes')."""
-    sizes = []
-    for record in records:
-        if record.get("t") != "anomaly":
-            continue
-        mfs = record.get("mfs", {})
-        sizes.append(
-            len(mfs.get("intervals", ()))
-            + len(mfs.get("memberships", ()))
-            + (1 if mfs.get("requires_mix") else 0)
-        )
-    return sorted(sizes)
+    return fold_records(records).mfs_condition_sizes()
 
 
 def journal_metrics(records: list[dict]) -> dict:
@@ -196,31 +118,7 @@ def journal_metrics(records: list[dict]) -> dict:
     records (not read from ``coverage`` snapshots) so that diffing a
     journal against itself yields exactly zero on every gated metric.
     """
-    summary = journal_summary(records)
-    trackers = coverage_from_records(records)
-    coverage: Optional[float] = None
-    if trackers:
-        coverage = sum(t.touched_fraction() for t in trackers) / len(trackers)
-    elapsed = sum(
-        float(r.get("elapsed_seconds", 0.0))
-        for r in records if r.get("t") == "run_end"
-    )
-    spans = self_times(events_from_records(records))
-    metrics = {
-        "anomalies": summary["anomalies"],
-        "time_to_first_anomaly_seconds": time_to_first_anomaly(records),
-        "coverage_fraction": coverage,
-        "experiments": summary["experiments"],
-        "skips": summary["skips"],
-        "elapsed_seconds": elapsed,
-        "acceptance_rate": acceptance_rate(records),
-        "span_self_seconds": dict(sorted(spans.items())),
-        "mfs_shape_counts": mfs_shape_counts(records),
-        "mfs_condition_sizes": mfs_condition_sizes(records),
-    }
-    metrics.update(latency_metrics(records))
-    metrics.update(isolation_metrics(records))
-    return metrics
+    return fold_records(records).metrics()
 
 
 @dataclasses.dataclass(frozen=True)

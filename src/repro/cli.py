@@ -579,11 +579,11 @@ def _report_one(
     """Render one journal (appends to ``payloads`` under ``--json``)."""
     from repro.analysis.figures import counter_trace
     from repro.obs import (
-        journal_summary,
         read_journal_prefix,
         reports_from_records,
         validate_journal,
     )
+    from repro.obs.rollup import fold_records
 
     try:
         records, tail_error = read_journal_prefix(path)
@@ -609,15 +609,15 @@ def _report_one(
             f"({len(errors)} error(s))"
         )
         return 2
-    shape = journal_summary(records)
+    rollup = fold_records(records)
+    shape = rollup.summary()
     if getattr(args, "json", False):
-        from repro.analysis.journaldiff import journal_metrics
         from repro.analysis.serialize import report_to_dict
 
         payloads.append({
             "journal": str(path),
             "summary": shape,
-            "metrics": journal_metrics(records),
+            "metrics": rollup.metrics(),
             "runs": [
                 report_to_dict(report)
                 for report in reports_from_records(records)
@@ -636,7 +636,7 @@ def _report_one(
             f"resilience: {shape['retries']} retried attempt(s), "
             f"{shape['quarantines']} quarantined host(s)"
         )
-    _report_isolation(records)
+    _report_isolation(records, rollup)
     if shape["crashed_runs"]:
         logger.warning(
             f"{shape['crashed_runs']} of {shape['runs']} run(s) are "
@@ -644,11 +644,10 @@ def _report_one(
             f"still in flight; resume it with 'repro campaign --resume "
             f"{path}'"
         )
-    completeness = _run_completeness(records)
     reports = reports_from_records(records)
-    for index, report in enumerate(reports, 1):
+    for index, (run, report) in enumerate(zip(rollup.runs(), reports), 1):
         logger.info("")
-        crashed = "" if completeness[index - 1] else " [CRASHED — partial]"
+        crashed = "" if run.complete else " [CRASHED — partial]"
         logger.info(f"run {index}:{crashed} {report.summary()}")
         hits = sorted(
             report.first_hit_times().items(), key=lambda item: item[1]
@@ -685,12 +684,11 @@ def _report_one(
     return 0
 
 
-def _report_isolation(records) -> None:
+def _report_isolation(records, rollup) -> None:
     """Log the co-run context of an isolation journal (no-op for solo)."""
     isolation = [r for r in records if r.get("t") == "isolation"]
     if not isolation:
         return
-    from repro.analysis.journaldiff import isolation_metrics
     from repro.analysis.serialize import workload_from_dict
 
     for record in isolation:
@@ -701,7 +699,7 @@ def _report_isolation(records) -> None:
             f"{record['alone_gbps']:.1f} Gbps / p99 "
             f"{record['alone_p99_us']:.2f} us"
         )
-    metrics = isolation_metrics(records)
+    metrics = rollup.isolation_metrics()
     if metrics["isolation_experiments"]:
         logger.info(
             f"  co-run experiments: {metrics['isolation_experiments']}, "
@@ -729,21 +727,6 @@ def _latency_line(summaries) -> Optional[str]:
         f"(medians over {len(summaries)} experiments, "
         f"worst inflation {worst:.2f}x)"
     )
-
-
-def _run_completeness(records) -> list:
-    """Per-run completion flags (False = no run_end).
-
-    Delegates the run grouping to :func:`run_records` so the flags line
-    up with ``reports_from_records`` on population journals, where N
-    chains' runs interleave in one file.
-    """
-    from repro.obs import run_records
-
-    return [
-        any(record.get("t") == "run_end" for record in run)
-        for run in run_records(records)
-    ]
 
 
 def _cmd_journal(args: argparse.Namespace) -> int:
@@ -826,12 +809,14 @@ def _cmd_journal_diff(args: argparse.Namespace) -> int:
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     """``coverage``: render a journal's workload-space occupancy maps."""
-    from repro.obs import coverage_from_records, render_latency_panel
+    from repro.obs.coverage import latency_panel
+    from repro.obs.rollup import fold_records
 
     records = _read_journal_or_none(args.journal)
     if records is None:
         return 2
-    trackers = coverage_from_records(records)
+    rollup = fold_records(records)
+    trackers = rollup.coverage_trackers()
     if not trackers:
         logger.warning(f"no runs found in {args.journal}")
         return 1
@@ -840,12 +825,10 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
             logger.info(f"run {index}:")
         logger.info(tracker.render())
         logger.info("")
-    panel = render_latency_panel(records)
+    panel = latency_panel(rollup)
     if panel is not None:
         logger.info(panel)
-    from repro.analysis.journaldiff import isolation_metrics
-
-    metrics = isolation_metrics(records)
+    metrics = rollup.isolation_metrics()
     if metrics["isolation_experiments"]:
         logger.info(
             f"co-run coverage: {metrics['isolation_experiments']} "

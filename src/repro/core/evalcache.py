@@ -430,8 +430,17 @@ class EvalCache:
             "entries": self.export_entries(),
             "stats": self.stats_dict(),
         }
-        with open(path, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
+        # Write a sibling temp file and rename it over the store, so a
+        # crash mid-dump leaves the previous store intact.
+        temp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(temp, "w") as handle:
+                json.dump(payload, handle, sort_keys=True)
+            os.replace(temp, path)
+        except BaseException:
+            if os.path.exists(temp):
+                os.unlink(temp)
+            raise
         return path
 
     def load(self, path: str) -> int:

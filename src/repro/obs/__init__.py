@@ -14,7 +14,8 @@ makes the search itself explainable while in flight:
 * :mod:`repro.obs.logging` — the CLI-side ``logging`` setup helper
   (library code never configures the root logger).
 
-The *search observatory* builds the read side on top of the journal:
+The *search observatory* builds the read side on top of the journal,
+every rollup a read of the one fold in :mod:`repro.obs.rollup`:
 
 * :mod:`repro.obs.coverage` — 4-D workload-space occupancy maps
   (visited vs MFS-skipped buckets per dimension);
@@ -64,6 +65,7 @@ from repro.obs.journal import (
     reports_from_journal,
     reports_from_records,
     run_records,
+    split_by_chain,
     verify_journal,
 )
 from repro.obs.logging import setup_logging
@@ -84,7 +86,6 @@ from repro.obs.sadiag import (
     mutation_effectiveness,
     per_chain_diagnostics,
     render_sa_diagnostics,
-    split_by_chain,
     time_to_first_anomaly,
     time_to_first_anomaly_by_symptom,
     worst_interference,

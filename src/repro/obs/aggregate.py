@@ -5,21 +5,20 @@ an operator watching several fleets, many); the exporter and the
 ``repro top`` dashboard both want a single rollup: how many experiments
 and anomalies so far, which workers are alive, what the tail latency
 and cache hit rate look like *right now*.  :class:`CampaignAggregator`
-owns one :class:`~repro.obs.stream.JournalFollower` per journal and
-folds their records incrementally:
+owns one :class:`~repro.obs.stream.JournalFollower` and one
+:class:`~repro.obs.rollup.JournalRollup` per journal and feeds each
+record to the fold exactly once, on arrival:
 
-* **per-source rollups** fold each record exactly once, maintaining the
-  same definitions the post-hoc readers use
-  (:func:`~repro.analysis.journaldiff.journal_metrics`,
-  :mod:`repro.obs.sadiag`) incrementally — a scrape costs O(records
-  since the last scrape), not O(history), and the live numbers agree
-  with what ``repro report`` / ``journal diff`` will say once the run
-  finishes (pinned by the telemetry test suite);
-* **per-worker liveness** folds schema-v7 ``heartbeat`` records: the
-  latest heartbeat per (source, worker slot) plus its wall-clock age
-  classifies a worker alive or stale;
-* **streaming tail latency** merges every ``latency`` record's p99 into
-  one :class:`~repro.obs.metrics.HistogramSummary` across sources;
+* **per-source rollups** are reads of that fold — the same fold the
+  post-hoc readers (``repro report``, ``journal diff``, the canary,
+  :mod:`repro.obs.sadiag`) run over a finished file, so live and
+  post-hoc numbers agree by construction; a scrape costs O(records
+  since the last scrape), and no record is retained;
+* **per-worker liveness** reads the latest schema-v7 ``heartbeat`` per
+  (source, worker slot); its wall-clock age classifies a worker alive
+  or stale;
+* **streaming tail latency** merges every source's new p99s into one
+  :class:`~repro.obs.metrics.HistogramSummary` across sources;
 * an **anomaly timeline tail** keeps the most recent anomalous
   experiments for the dashboard.
 
@@ -36,22 +35,13 @@ import time
 from collections import deque
 from typing import Optional, Sequence, Union
 
-from repro.analysis.serialize import mfs_from_dict, workload_from_dict
-from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import HistogramSummary
-from repro.obs.sadiag import (
-    DECISION_ACTIONS,
-    HEALTHY,
-    per_chain_diagnostics,
-)
+from repro.obs.rollup import TIMELINE_TAIL, JournalRollup
 from repro.obs.stream import JournalFollower
 
 #: A worker whose last heartbeat is older than this many wall-clock
 #: seconds is reported stale (the default ``repro top`` threshold).
 DEFAULT_STALE_AFTER = 30.0
-
-#: Anomalous experiments kept for the dashboard's timeline tail.
-TIMELINE_TAIL = 8
 
 
 @dataclasses.dataclass
@@ -71,125 +61,14 @@ class WorkerLiveness:
         return self.age_seconds(now) <= stale_after
 
 
-class _SourceState:
-    """One journal's incremental fold.
-
-    Every record is folded exactly once, on arrival, into running
-    counts, the first-anomaly time, per-run coverage trackers (demuxed
-    by chain stamp, mirroring
-    :func:`~repro.obs.coverage.coverage_from_records`), the Metropolis
-    acceptance tallies and the latency-p99 population — so a scrape
-    pays for the records since the last scrape, not for the whole
-    history again.  Agreement with the post-hoc
-    :func:`~repro.analysis.journaldiff.journal_metrics` is pinned by
-    ``tests/obs/test_telemetry.py``.
-    """
+class _Source:
+    """One followed journal and its fold."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.follower = JournalFollower(path)
-        self.records: list[dict] = []
+        self.rollup = JournalRollup()
         self.error: Optional[str] = None
-        self._by_type: dict[str, int] = {}
-        self._complete_runs = 0
-        self._in_run: dict = {}
-        self._ttfa: Optional[float] = None
-        self._accepted = 0
-        self._decided = 0
-        #: Every run's tracker (kept) + the live one per chain stream.
-        self._trackers: list[CoverageTracker] = []
-        self._current_tracker: dict = {}
-        self._p99s: list[float] = []
-        self._median: Optional[float] = None
-        self._median_dirty = False
-
-    def absorb(self) -> list[dict]:
-        """Poll the follower; returns the fresh records (maybe none)."""
-        try:
-            fresh = self.follower.poll()
-        except ValueError as error:  # mid-file corruption
-            self.error = str(error)
-            return []
-        for record in fresh:
-            self.records.append(record)
-            self._fold_metrics(record)
-        return fresh
-
-    def _fold_metrics(self, record: dict) -> None:
-        kind = record.get("t", "?")
-        self._by_type[kind] = self._by_type.get(kind, 0) + 1
-        chain = record.get("chain")
-        if kind == "run_start":
-            self._in_run[chain] = True
-            tracker = CoverageTracker.for_subsystem(record["subsystem"])
-            self._current_tracker[chain] = tracker
-            self._trackers.append(tracker)
-        elif kind == "run_end":
-            if self._in_run.get(chain):
-                self._complete_runs += 1
-                self._in_run[chain] = False
-        elif kind == "experiment":
-            if (
-                self._ttfa is None
-                and record.get("symptom", HEALTHY) != HEALTHY
-            ):
-                self._ttfa = float(record["time_seconds"])
-            tracker = self._current_tracker.get(chain)
-            if tracker is not None:
-                tracker.visit(workload_from_dict(record["workload"]))
-        elif kind == "skip":
-            tracker = self._current_tracker.get(chain)
-            if tracker is not None:
-                workload = record.get("workload")
-                tracker.skip(
-                    workload_from_dict(workload)
-                    if workload is not None else None
-                )
-        elif kind == "anomaly":
-            tracker = self._current_tracker.get(chain)
-            if tracker is not None:
-                tracker.mark_mfs(mfs_from_dict(record["mfs"]))
-        elif kind == "transition":
-            if record.get("action") in DECISION_ACTIONS:
-                self._decided += 1
-                if record["action"] != "reject":
-                    self._accepted += 1
-        elif kind == "latency":
-            self._p99s.append(float(record["p99_us"]))
-            self._median_dirty = True
-
-    # -- derived rollups (cheap: no pass over the history) ------------------
-
-    def count(self, kind: str) -> int:
-        return self._by_type.get(kind, 0)
-
-    def time_to_first_anomaly(self) -> Optional[float]:
-        return self._ttfa
-
-    def coverage_fraction(self) -> Optional[float]:
-        if not self._trackers:
-            return None
-        return sum(
-            tracker.touched_fraction() for tracker in self._trackers
-        ) / len(self._trackers)
-
-    def acceptance_rate(self) -> Optional[float]:
-        return self._accepted / self._decided if self._decided else None
-
-    def latency_p99_median(self) -> Optional[float]:
-        if self._median_dirty:
-            ordered = sorted(self._p99s)
-            mid = len(ordered) // 2
-            self._median = (
-                ordered[mid] if len(ordered) % 2
-                else (ordered[mid - 1] + ordered[mid]) / 2.0
-            )
-            self._median_dirty = False
-        return self._median
-
-    @property
-    def complete_runs(self) -> int:
-        return self._complete_runs
 
 
 class CampaignAggregator:
@@ -200,16 +79,12 @@ class CampaignAggregator:
         paths: Sequence[Union[str, os.PathLike]],
         stale_after: float = DEFAULT_STALE_AFTER,
     ) -> None:
-        self.sources = [_SourceState(os.fspath(p)) for p in paths]
+        self.sources = [_Source(os.fspath(p)) for p in paths]
         self.stale_after = stale_after
-        #: (source path, worker slot) → latest heartbeat.
-        self.workers: dict[tuple, WorkerLiveness] = {}
         #: Most recent anomalous experiments, oldest first.
         self.timeline: deque = deque(maxlen=TIMELINE_TAIL)
         #: p99 of every latency record seen, merged across sources.
         self.latency_p99 = HistogramSummary()
-        self._cache_hits = 0
-        self._cache_lookups = 0
 
     # -- ingest -------------------------------------------------------------
 
@@ -217,49 +92,45 @@ class CampaignAggregator:
         """Poll every source; returns how many new records arrived."""
         fresh_total = 0
         for source in self.sources:
-            for record in source.absorb():
-                self._fold(source.path, record)
-                fresh_total += 1
+            try:
+                fresh = source.follower.poll()
+            except ValueError as error:  # mid-file corruption
+                source.error = str(error)
+                continue
+            rollup = source.rollup
+            anomalies = rollup.anomalous_experiments
+            latencies = len(rollup.p99s)
+            for record in fresh:
+                rollup.add(record)
+            new_anomalies = rollup.anomalous_experiments - anomalies
+            if new_anomalies:
+                self.timeline.extend(
+                    {"source": source.path, **entry}
+                    for entry in list(rollup.timeline)[-new_anomalies:]
+                )
+            for p99 in rollup.p99s[latencies:]:
+                self.latency_p99.observe(p99)
+            fresh_total += len(fresh)
         return fresh_total
-
-    def _fold(self, path: str, record: dict) -> None:
-        kind = record.get("t")
-        if kind == "heartbeat":
-            beat = WorkerLiveness(
-                source=path,
-                worker=int(record["worker"]),
-                done=int(record["done"]),
-                total=int(record["total"]),
-                wall_time=float(record["wall_time"]),
-            )
-            self.workers[(path, beat.worker)] = beat
-        elif kind == "experiment":
-            if record.get("symptom", HEALTHY) != HEALTHY:
-                self.timeline.append({
-                    "source": path,
-                    "chain": record.get("chain"),
-                    "time_seconds": record["time_seconds"],
-                    "symptom": record["symptom"],
-                    "counter": record.get("counter", "?"),
-                    "counter_value": record.get("counter_value", 0.0),
-                })
-        elif kind == "latency":
-            self.latency_p99.observe(float(record["p99_us"]))
-        elif kind == "cache":
-            self._cache_lookups += 1
-            if record.get("hit"):
-                self._cache_hits += 1
 
     # -- read side ----------------------------------------------------------
 
-    @property
-    def records_seen(self) -> int:
-        return sum(len(source.records) for source in self.sources)
-
     def cache_hit_rate(self) -> Optional[float]:
-        if not self._cache_lookups:
-            return None
-        return self._cache_hits / self._cache_lookups
+        lookups = sum(s.rollup.cache_lookups for s in self.sources)
+        hits = sum(s.rollup.cache_hits for s in self.sources)
+        return hits / lookups if lookups else None
+
+    def workers(self) -> list[WorkerLiveness]:
+        """Latest heartbeat per (source, worker slot), sorted."""
+        return sorted(
+            (
+                WorkerLiveness(source.path, worker, done, total, wall_time)
+                for source in self.sources
+                for worker, (done, total, wall_time)
+                in source.rollup.heartbeats.items()
+            ),
+            key=lambda beat: (beat.source, beat.worker),
+        )
 
     def snapshot(self, now: Optional[float] = None) -> dict:
         """The whole telemetry view as one JSON-able dict.
@@ -276,26 +147,25 @@ class CampaignAggregator:
         ttfas: list[float] = []
         coverages: list[float] = []
         for source in self.sources:
+            rollup = source.rollup
             entry = {
                 "path": source.path,
-                "records": len(source.records),
+                "records": rollup.records,
                 "error": source.error,
-                "runs": source.count("run_start"),
-                "complete_runs": source.complete_runs,
-                "experiments": source.count("experiment"),
-                "anomalies": source.count("anomaly"),
-                "skips": source.count("skip"),
-                "time_to_first_anomaly_seconds":
-                    source.time_to_first_anomaly(),
-                "coverage_fraction": source.coverage_fraction(),
-                "acceptance_rate": source.acceptance_rate(),
-                "latency_p99_us_median": source.latency_p99_median(),
+                "runs": rollup.count("run_start"),
+                "complete_runs": rollup.complete_runs(),
+                "experiments": rollup.count("experiment"),
+                "anomalies": rollup.count("anomaly"),
+                "skips": rollup.count("skip"),
+                "time_to_first_anomaly_seconds": rollup.ttfa,
+                "coverage_fraction": rollup.coverage_fraction(),
+                "acceptance_rate": rollup.acceptance_rate(),
+                "latency_p99_us_median": rollup.latency_p99_median(),
             }
             sources.append(entry)
             for key in ("experiments", "anomalies", "skips", "runs",
-                        "complete_runs"):
+                        "complete_runs", "records"):
                 totals[key] += entry[key]
-            totals["records"] += len(source.records)
             ttfa = entry["time_to_first_anomaly_seconds"]
             if ttfa is not None:
                 ttfas.append(float(ttfa))
@@ -311,7 +181,7 @@ class CampaignAggregator:
                 "age_seconds": beat.age_seconds(now),
                 "alive": beat.alive(now, self.stale_after),
             }
-            for (_, _), beat in sorted(self.workers.items())
+            for beat in self.workers()
         ]
         totals.update({
             "time_to_first_anomaly_seconds": min(ttfas) if ttfas else None,
@@ -335,16 +205,8 @@ class CampaignAggregator:
 
     def chain_diagnostics(self) -> list:
         """Per-chain SA rows across every source (``repro top``)."""
-        rows = []
-        for source in self.sources:
-            for diag in per_chain_diagnostics(source.records):
-                rows.append((source.path, diag))
-        return rows
-
-    def first_anomaly_seconds(self) -> Optional[float]:
-        """Earliest TTFA across sources (None while all healthy)."""
-        values = [
-            ttfa for source in self.sources
-            if (ttfa := source.time_to_first_anomaly()) is not None
+        return [
+            (source.path, diag)
+            for source in self.sources
+            for diag in source.rollup.chain_diagnostics()
         ]
-        return min(values) if values else None

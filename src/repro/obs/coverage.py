@@ -15,14 +15,14 @@ search is bit-identical to an untracked one.
 Live tracking attaches via ``FlightRecorder(track_coverage=True)``;
 :func:`coverage_from_records` recomputes the same maps post-hoc from
 any journal's ``experiment``/``skip``/``anomaly`` records (v1 journals
-included — their skip records just lack the workload detail).
+included — their skip records just lack the workload detail) through
+the journal fold in :mod:`repro.obs.rollup`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.serialize import mfs_from_dict, workload_from_dict
 from repro.core.mfs import MinimalFeatureSet
 from repro.core.space import DIMENSION_GROUPS, SearchSpace
 from repro.hardware.workload import WorkloadDescriptor
@@ -198,14 +198,20 @@ _LATENCY_BUCKETS = (
 def render_latency_panel(records) -> Optional[str]:
     """Distribution of modeled per-WR p99 over a journal's latency records.
 
-    Pure read-side fold over schema-v4 ``latency`` records — journals
-    written before the latency signal (or with it disabled) have none,
-    and the panel returns ``None`` instead of an empty chart.
+    Journals written before the latency signal (or with it disabled)
+    have no ``latency`` records, and the panel returns ``None`` instead
+    of an empty chart.
     """
-    latencies = [r for r in records if r.get("t") == "latency"]
-    if not latencies:
+    from repro.obs.rollup import fold_records
+
+    return latency_panel(fold_records(records))
+
+
+def latency_panel(rollup) -> Optional[str]:
+    """:func:`render_latency_panel` over an already-folded journal."""
+    p99s = rollup.p99s
+    if not p99s:
         return None
-    p99s = sorted(float(r["p99_us"]) for r in latencies)
     counts = {label: 0 for label, _ in _LATENCY_BUCKETS}
     for p99 in p99s:
         for label, upper in _LATENCY_BUCKETS:
@@ -220,12 +226,10 @@ def render_latency_panel(records) -> Optional[str]:
             continue
         bar = "#" * max(1, round(count * 40 / peak))
         lines.append(f"  {label:>10} {count:>6} {bar}")
-    median = p99s[len(p99s) // 2]
-    worst = max(float(r["inflation"]) for r in latencies)
-    quirky = sum(1 for r in latencies if r.get("tags"))
     lines.append(
-        f"  median p99 {median:.1f} us, worst inflation {worst:.2f}x, "
-        f"{quirky} experiment(s) with a fired latency quirk"
+        f"  median p99 {rollup.latency_p99_median():.1f} us, worst "
+        f"inflation {rollup.inflation_max:.2f}x, {rollup.latency_quirks} "
+        f"experiment(s) with a fired latency quirk"
     )
     return "\n".join(lines)
 
@@ -233,27 +237,11 @@ def render_latency_panel(records) -> Optional[str]:
 def coverage_from_records(records) -> list[CoverageTracker]:
     """Recompute coverage post-hoc: one tracker per run in a journal.
 
-    Runs are grouped by :func:`~repro.obs.journal.run_records`, which
+    Runs come in :func:`~repro.obs.journal.run_records` order, which
     demultiplexes chain-stamped population journals — each chain gets
     its own tracker instead of attributing its visits to whichever run
     started last in file order.
     """
-    from repro.obs.journal import run_records
+    from repro.obs.rollup import fold_records
 
-    trackers: list[CoverageTracker] = []
-    for run in run_records(records):
-        current = CoverageTracker.for_subsystem(run[0]["subsystem"])
-        trackers.append(current)
-        for record in run[1:]:
-            kind = record.get("t")
-            if kind == "experiment":
-                current.visit(workload_from_dict(record["workload"]))
-            elif kind == "skip":
-                workload = record.get("workload")
-                current.skip(
-                    workload_from_dict(workload)
-                    if workload is not None else None
-                )
-            elif kind == "anomaly":
-                current.mark_mfs(mfs_from_dict(record["mfs"]))
-    return trackers
+    return fold_records(records).coverage_trackers()

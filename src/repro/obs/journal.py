@@ -32,6 +32,7 @@ from repro.analysis.serialize import (
 )
 from repro.core.annealing import TraceEvent
 from repro.core.collie import SearchReport
+from repro.obs.rollup import fold_records
 from repro.obs.schema import SCHEMA_VERSION
 
 
@@ -297,6 +298,18 @@ def _report_from_run(records: list[dict]) -> SearchReport:
     )
 
 
+def split_by_chain(records: Iterable[dict]) -> dict:
+    """Chain id → that chain's records, in first-appearance order.
+
+    Journals from before the population driver (schema v5) carry no
+    chain stamps and split into a single ``{None: records}`` stream.
+    """
+    streams: dict = {}
+    for record in records:
+        streams.setdefault(record.get("chain"), []).append(record)
+    return streams
+
+
 def run_records(records: Iterable[dict]) -> list[list[dict]]:
     """Per-run record groups, split on ``run_start`` delimiters.
 
@@ -306,23 +319,15 @@ def run_records(records: Iterable[dict]) -> list[list[dict]]:
     first paying for full report reconstruction.
 
     Population journals (schema v5) interleave N chains' records in one
-    file; records are first demultiplexed by their ``chain`` stamp — in
-    first-appearance order — then each chain's stream splits on its own
+    file; records are first demultiplexed by their ``chain`` stamp
+    (:func:`split_by_chain`), then each chain's stream splits on its own
     ``run_start``.  Journals without chain stamps take the single-stream
     path unchanged.
     """
-    streams: dict = {}
-    order: list = []
-    for record in records:
-        key = record.get("chain")
-        if key not in streams:
-            streams[key] = []
-            order.append(key)
-        streams[key].append(record)
     runs: list[list[dict]] = []
-    for key in order:
+    for stream in split_by_chain(records).values():
         current: Optional[list[dict]] = None
-        for record in streams[key]:
+        for record in stream:
             if record.get("t") == "run_start":
                 current = [record]
                 runs.append(current)
@@ -352,34 +357,7 @@ def journal_summary(records: Iterable[dict]) -> dict:
     Start/end matching is per chain stream (population journals
     interleave N concurrent runs in one file).
     """
-    by_type: dict[str, int] = {}
-    complete = 0
-    in_run: dict = {}
-    for record in records:
-        kind = record.get("t", "?")
-        by_type[kind] = by_type.get(kind, 0) + 1
-        chain = record.get("chain")
-        if kind == "run_start":
-            in_run[chain] = True
-        elif kind == "run_end" and in_run.get(chain):
-            complete += 1
-            in_run[chain] = False
-    runs = by_type.get("run_start", 0)
-    return {
-        "records": sum(by_type.values()),
-        "runs": runs,
-        "complete_runs": complete,
-        "crashed_runs": runs - complete,
-        "experiments": by_type.get("experiment", 0),
-        "anomalies": by_type.get("anomaly", 0),
-        "transitions": by_type.get("transition", 0),
-        "skips": by_type.get("skip", 0),
-        "cache_events": by_type.get("cache", 0),
-        "retries": by_type.get("retry", 0),
-        "quarantines": by_type.get("quarantine", 0),
-        "heartbeats": by_type.get("heartbeat", 0),
-        "by_type": dict(sorted(by_type.items())),
-    }
+    return fold_records(records).summary()
 
 
 # -- verification (the ``repro journal verify`` surface) ----------------------

@@ -164,6 +164,28 @@ class TestDiskStore:
         )
         assert served.counters == fresh.counters
 
+    def test_crash_mid_save_keeps_the_previous_store(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "cache.json")
+        cache = EvalCache(path=path)
+        model = SteadyStateModel(get_subsystem("H"), cache=cache)
+        model.evaluate(random_point("H", 1), np.random.default_rng(0))
+        cache.save()
+        model.evaluate(random_point("H", 2), np.random.default_rng(0))
+
+        def crashing_dump(payload, handle, **kwargs):
+            handle.write(json.dumps(payload, **kwargs)[:100])
+            raise KeyboardInterrupt("killed mid-save")
+
+        monkeypatch.setattr("repro.core.evalcache.json.dump", crashing_dump)
+        with pytest.raises(KeyboardInterrupt):
+            cache.save()
+        monkeypatch.undo()
+
+        assert EvalCache(path=path).loaded_entries == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text(json.dumps(

@@ -180,6 +180,7 @@ class TestLatencyPanel:
         assert "1-10ms" in panel
         assert ">=10ms" not in panel  # empty buckets are skipped
         assert "worst inflation 6.50x" in panel
+        assert "median p99 48.5 us" in panel
         assert "1 experiment(s) with a fired latency quirk" in panel
 
     def test_panel_reads_a_real_latency_run(self, tmp_path):
