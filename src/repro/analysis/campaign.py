@@ -46,9 +46,9 @@ from repro.core.faults import FaultPlan, RetryPolicy
 # -- approach factories (module-level: picklable for process fan-out) -------
 
 
-def _run_random(sub, hours, seed, cache=None, batch=True):
+def _run_random(sub, hours, seed, cache=None):
     return RandomSearch(
-        sub, budget_hours=hours, seed=seed, cache=cache, batch=batch
+        sub, budget_hours=hours, seed=seed, cache=cache
     ).run()
 
 
@@ -70,31 +70,31 @@ def _run_bayesopt_mfs(sub, hours, seed, cache=None):
     ).run()
 
 
-def _run_sa_perf(sub, hours, seed, cache=None, batch=True, latency=True):
+def _run_sa_perf(sub, hours, seed, cache=None, latency=True):
     return Collie.for_subsystem(
         sub, counter_mode="perf", use_mfs=False, budget_hours=hours,
-        seed=seed, cache=cache, batch=batch, latency=latency,
+        seed=seed, cache=cache, latency=latency,
     ).run()
 
 
-def _run_sa_diag(sub, hours, seed, cache=None, batch=True, latency=True):
+def _run_sa_diag(sub, hours, seed, cache=None, latency=True):
     return Collie.for_subsystem(
         sub, counter_mode="diag", use_mfs=False, budget_hours=hours,
-        seed=seed, cache=cache, batch=batch, latency=latency,
+        seed=seed, cache=cache, latency=latency,
     ).run()
 
 
-def _run_collie_perf(sub, hours, seed, cache=None, batch=True, latency=True):
+def _run_collie_perf(sub, hours, seed, cache=None, latency=True):
     return Collie.for_subsystem(
         sub, counter_mode="perf", use_mfs=True, budget_hours=hours,
-        seed=seed, cache=cache, batch=batch, latency=latency,
+        seed=seed, cache=cache, latency=latency,
     ).run()
 
 
-def _run_collie(sub, hours, seed, cache=None, batch=True, latency=True):
+def _run_collie(sub, hours, seed, cache=None, latency=True):
     return Collie.for_subsystem(
         sub, counter_mode="diag", use_mfs=True, budget_hours=hours,
-        seed=seed, cache=cache, batch=batch, latency=latency,
+        seed=seed, cache=cache, latency=latency,
     ).run()
 
 
@@ -134,8 +134,6 @@ def _run_seed(payload: dict) -> dict:
     kwargs: dict = {}
     if cache is not None and _accepts_kwarg(factory, "cache"):
         kwargs["cache"] = cache
-    if not payload.get("batch", True) and _accepts_kwarg(factory, "batch"):
-        kwargs["batch"] = False
     if not payload.get("latency", True) and _accepts_kwarg(
         factory, "latency"
     ):
@@ -223,7 +221,6 @@ def run_campaign(
     workers: int = 1,
     cache: Optional[EvalCache] = None,
     recorder=None,
-    batch: bool = True,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
     resume_from: Union[str, dict, None] = None,
@@ -281,7 +278,6 @@ def run_campaign(
             "seed": seed,
             "use_cache": cache is not None,
             "cache_entries": warm_entries,
-            "batch": batch,
             "latency": latency,
         }
         for seed in todo

@@ -63,7 +63,6 @@ class RandomSearch:
         seed: int = 0,
         noise: float = 0.02,
         cache: Optional["EvalCache"] = None,
-        batch: bool = True,
         batch_probes: bool = False,
         recorder: Optional["FlightRecorder"] = None,
     ) -> None:
@@ -81,7 +80,7 @@ class RandomSearch:
         profiler = recorder.profiler if recorder is not None else None
         self.testbed = Testbed(
             subsystem, clock=self.clock, noise=noise, cache=cache,
-            batch=batch, metrics=metrics, profiler=profiler,
+            metrics=metrics, profiler=profiler,
         )
         self.monitor = AnomalyMonitor(subsystem, metrics=metrics)
         self.rng = np.random.default_rng(seed)
@@ -100,9 +99,8 @@ class RandomSearch:
             )
         state = SearchState()
         pending: list = []
-        batch_probes = self.batch_probes and self.testbed.batch_enabled
         while not self.clock.expired:
-            if batch_probes:
+            if self.batch_probes:
                 if not pending:
                     pending = [
                         self.space.random(self.rng)

@@ -307,7 +307,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         seed=args.seed,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
         batch_probes=args.batch_probes,
         latency=not args.no_latency,
         victim=victim,
@@ -374,7 +373,6 @@ def _run_search_population(
         use_mfs=not args.no_mfs,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
         batch_probes=args.batch_probes,
         latency=not args.no_latency,
         temperature_ladder=ladder,
@@ -423,7 +421,6 @@ def _run_search_campaign(args: argparse.Namespace, cache, recorder) -> int:
         workers=args.workers,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
         latency=not args.no_latency,
         retry=_retry_policy(args),
     )
@@ -457,7 +454,6 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
         latency=not args.no_latency,
         retry=_retry_policy(args),
         chains=args.chains,
@@ -510,7 +506,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
         latency=not args.no_latency,
         retry=_retry_policy(args),
         resume_from=args.resume,
@@ -1318,9 +1313,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(with --tempering)")
     search.add_argument("--cache", metavar="PATH",
                         help="memoize evaluations in this JSON store")
-    search.add_argument("--no-batch", action="store_true",
-                        help="route evaluation through the scalar code "
-                             "path (disable S31 batching)")
     search.add_argument("--no-latency", action="store_true",
                         help="disable the tail-latency signal: no latency "
                              "journal records and no latency-inflation "
@@ -1357,9 +1349,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "counter share")
     parallel.add_argument("--cache", metavar="PATH",
                           help="memoize evaluations in this JSON store")
-    parallel.add_argument("--no-batch", action="store_true",
-                          help="route evaluation through the scalar code "
-                               "path (disable S31 batching)")
     parallel.add_argument("--no-latency", action="store_true",
                           help="disable the tail-latency signal on every "
                                "machine of the fleet")
@@ -1381,9 +1370,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--workers", type=_positive_int, default=1)
     campaign.add_argument("--cache", metavar="PATH",
                           help="memoize evaluations in this JSON store")
-    campaign.add_argument("--no-batch", action="store_true",
-                          help="route evaluation through the scalar code "
-                               "path (disable S31 batching)")
     campaign.add_argument("--no-latency", action="store_true",
                           help="disable the tail-latency signal for every "
                                "seed of the campaign")

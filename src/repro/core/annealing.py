@@ -263,10 +263,8 @@ class AnnealingSearch:
                 self.recorder.metrics if self.recorder is not None else None
             ),
             presolve=(
-                (lambda pts: self.testbed.presolve(pts, phase="mfs"))
-                if getattr(self.testbed, "batch_enabled", False)
-                and not getattr(self.testbed, "lockstep", False)
-                else None
+                None if self.testbed.lockstep
+                else (lambda pts: self.testbed.presolve(pts, phase="mfs"))
             ),
         )
         stepper = extractor.construct_steps(

@@ -20,12 +20,14 @@ state (``tests/core/test_batcheval.py`` pins this over subsystems A–H).
 Only a point's *active* counters (ideal value > 0) consume noise,
 exactly as :class:`~repro.hardware.counters.VendorMonitor` does.
 
-Two batching modes exist upstream of this module:
+The deterministic solve is one kernel written for both execution modes
+(:mod:`repro.hardware.ops`): a single point runs as Python scalars,
+larger sets as numpy columns.  Two batching modes exist upstream of
+this module:
 
 * **exact** — the batch is known before any draw (MFS ladders, box
   validation, the Perftest sweep): batched and scalar runs are
-  bit-identical, so batching defaults on, with a ``batch=False`` /
-  ``--no-batch`` escape hatch through the untouched scalar code;
+  bit-identical, so batching is always on;
 * **opt-in** (``batch_probes``) — phases that interleave point sampling
   with noise draws on one RNG stream (random search, counter ranking)
   cannot batch bit-identically; pre-sampling the points changes the
@@ -70,37 +72,12 @@ def observe_many(
     normal draw covers the whole batch and is sliced into each point's
     ``(seconds, active)`` block in original order.
     """
-    n = len(workloads)
-    window = int(sample_seconds)
-    count = len(ALL_COUNTERS)
-    base = np.array(
-        [
-            [float(s.ideal_counters.get(name, 0.0)) for name in ALL_COUNTERS]
-            for s in solves
-        ]
-    ).reshape(n, count)
-    rows = np.repeat(base[:, None, :], window, axis=1)
-    noise = model.noise
-    if noise > 0 and window > 0:
-        jitter = base > 0
-        active = jitter.sum(axis=1)
-        total_active = int(active.sum())
-        if total_active:
-            flat = rng.normal(0.0, noise, size=window * total_active)
-            clipped = np.maximum(0.0, 1.0 + flat)
-            point_idx, cols = np.nonzero(jitter)
-            starts = np.concatenate(([0], np.cumsum(window * active)))[:-1]
-            group_starts = np.concatenate(([0], np.cumsum(active)))[:-1]
-            within = np.arange(point_idx.size) - np.repeat(
-                group_starts, active
-            )
-            first = starts[point_idx] + within
-            step = active[point_idx]
-            for second in range(window):
-                rows[point_idx, second, cols] *= clipped[
-                    first + second * step
-                ]
-    return _measurements_from_rows(model, workloads, solves, rows, window)
+    return _observe(
+        model, workloads, solves, sample_seconds,
+        lambda window, active, total: rng.normal(
+            0.0, model.noise, size=window * total
+        ),
+    )
 
 
 def observe_each(
@@ -118,6 +95,28 @@ def observe_each(
     ``i``'s generator lands in the bit-identical state a standalone
     scalar evaluation would leave it in, while the deterministic row
     construction and averaging stay vectorized across the batch.
+    Raveling each (row-major) block and concatenating in point order
+    yields the same flat layout ``observe_many`` draws in one request.
+    """
+    return _observe(
+        model, workloads, solves, sample_seconds,
+        lambda window, active, total: np.concatenate(
+            [
+                rng.normal(0.0, model.noise, size=(window, int(count))).ravel()
+                for rng, count in zip(rngs, active)
+                if count
+            ]
+        ),
+    )
+
+
+def _observe(model, workloads, solves, sample_seconds, draw):
+    """Scatter one flat noise draw over the batch's active counters.
+
+    ``draw(window, active, total)`` returns ``window * total`` normal
+    values laid out point by point, each point's block row-major
+    ``(window, active[i])`` — the order the scalar monitor consumes.
+    Only a point's *active* counters (ideal value > 0) are jittered.
     """
     n = len(workloads)
     window = int(sample_seconds)
@@ -129,28 +128,12 @@ def observe_each(
         ]
     ).reshape(n, count)
     rows = np.repeat(base[:, None, :], window, axis=1)
-    noise = model.noise
-    if noise > 0 and window > 0:
+    if model.noise > 0 and window > 0:
         jitter = base > 0
         active = jitter.sum(axis=1)
         total_active = int(active.sum())
         if total_active:
-            # The only per-point step is the mandatory draw from that
-            # chain's generator — exactly the ``(window, active)``
-            # request the scalar path makes.  Raveling each (row-major)
-            # block and concatenating in point order yields the same
-            # flat layout ``observe_many`` draws in one request, so the
-            # application below is the shared vectorized scatter.
-            flat = np.concatenate(
-                [
-                    rngs[i].normal(
-                        0.0, noise, size=(window, int(active[i]))
-                    ).ravel()
-                    for i in range(n)
-                    if active[i]
-                ]
-            )
-            clipped = np.maximum(0.0, 1.0 + flat)
+            clipped = np.maximum(0.0, 1.0 + draw(window, active, total_active))
             point_idx, cols = np.nonzero(jitter)
             starts = np.concatenate(([0], np.cumsum(window * active)))[:-1]
             group_starts = np.concatenate(([0], np.cumsum(active)))[:-1]
@@ -209,22 +192,16 @@ def _measurements_from_rows(
 
 
 class BatchEvaluator:
-    """Deduplicating, cache-aware batched front end to the solver.
-
-    ``enabled=False`` (the ``--no-batch`` escape hatch) routes every
-    call through the existing scalar code path unchanged.
-    """
+    """Deduplicating, cache-aware batched front end to the solver."""
 
     def __init__(
         self,
         model: SteadyStateModel,
         metrics: Optional["MetricsRegistry"] = None,
-        enabled: bool = True,
         profiler=None,
     ) -> None:
         self.model = model
         self.metrics = metrics
-        self.enabled = enabled
         #: Optional obs.SpanProfiler ("batch" spans on vectorized solves).
         self.profiler = profiler
 
@@ -247,12 +224,12 @@ class BatchEvaluator:
     ) -> list:
         """Deterministic solves for every point (deduped, cache-backed).
 
-        Returns one :class:`~repro.core.evalcache.CachedSolve` per input
+        Returns one :class:`~repro.hardware.model.CachedSolve` per input
         point, in order; duplicates share the unique point's solve, and
         fresh solves back-fill the cache through ``put_many``.
         """
         model = self.model
-        if not self.enabled or len(workloads) <= 1:
+        if len(workloads) <= 1:
             self._count_points(len(workloads), "scalar")
             return [model._solve(w, phase) for w in workloads]
         started = time.perf_counter()
@@ -301,12 +278,11 @@ class BatchEvaluator:
         (no hit/miss recorded), so the subsequent scalar replay sees the
         exact lookup statistics a non-presolved run would — only faster.
         Points that fail validation are skipped (the scalar path raises
-        for them later, unchanged).  A no-op without a cache or when
-        batching is disabled.
+        for them later, unchanged).  A no-op without a cache.
         """
         model = self.model
         cache = model.cache
-        if not self.enabled or cache is None or not workloads:
+        if cache is None or not workloads:
             return 0
         seen: set = set()
         unique: list = []
@@ -358,7 +334,7 @@ class BatchEvaluator:
         ``model.evaluate(workloads[i], rngs[i], phase=phase)``.
         """
         model = self.model
-        if not self.enabled or len(workloads) <= 1:
+        if len(workloads) <= 1:
             self._count_points(len(workloads), "scalar")
             return [
                 model.evaluate(
@@ -394,7 +370,7 @@ class BatchEvaluator:
         like the scalar default, so that case falls back to the loop.
         """
         model = self.model
-        if not self.enabled or len(workloads) <= 1 or rng is None:
+        if len(workloads) <= 1 or rng is None:
             self._count_points(len(workloads), "scalar")
             return [
                 model.evaluate(

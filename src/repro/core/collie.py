@@ -122,7 +122,6 @@ class Collie:
         counters: Optional[tuple] = None,
         cache: Optional["EvalCache"] = None,
         recorder: Optional["FlightRecorder"] = None,
-        batch: bool = True,
         batch_probes: bool = False,
         latency: bool = True,
         victim=None,
@@ -170,7 +169,7 @@ class Collie:
         self.victim_share = victim_share
         self.testbed = Testbed(
             subsystem, clock=self.clock, noise=noise, cache=cache,
-            metrics=metrics, batch=batch, profiler=profiler,
+            metrics=metrics, profiler=profiler,
             victim=victim, victim_share=victim_share,
         )
         #: ``latency=False`` (``--no-latency``) disables the tail-latency
@@ -285,7 +284,7 @@ class Collie:
         observations: dict = {name: [] for name in candidates}
         signal = SearchSignal(candidates[0])
         presampled: Optional[list] = None
-        if self.batch_probes and self.testbed.batch_enabled:
+        if self.batch_probes:
             presampled = [
                 self.space.random(self.rng) for _ in range(RANKING_PROBES)
             ]

@@ -24,15 +24,18 @@ JSON store for cross-run reuse (``python -m repro search --cache ...``,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.hardware.model import DirectionRates
+from repro import hardware
+from repro.hardware.model import CachedSolve, DirectionRates
 from repro.hardware.rules import FiredRule
 from repro.hardware.workload import WorkloadDescriptor
 
@@ -40,6 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hardware.subsystems import Subsystem
 
 FORMAT_VERSION = 1
+
+logger = logging.getLogger("repro.core.evalcache")
 
 #: Phase label used when callers don't attribute their evaluations.
 DEFAULT_PHASE = "search"
@@ -93,6 +98,24 @@ def _canonical_key(workload: WorkloadDescriptor) -> str:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def solver_fingerprint() -> str:
+    """sha256 over the source of the solver package, ``repro.hardware``.
+
+    The entry keys fingerprint the subsystem's *parameters*; this stamp
+    covers the *code* that turns them into a solve, so a store written
+    before a solver change is never served after it.
+    """
+    root = os.path.dirname(os.path.abspath(hardware.__file__))
+    digest = hashlib.sha256()
+    for filename in sorted(os.listdir(root)):
+        if filename.endswith(".py"):
+            digest.update(filename.encode())
+            with open(os.path.join(root, filename), "rb") as handle:
+                digest.update(handle.read())
+    return digest.hexdigest()
+
+
 def subsystem_fingerprint(subsystem: "Subsystem") -> str:
     """Content fingerprint of a subsystem's performance-relevant config.
 
@@ -105,16 +128,6 @@ def subsystem_fingerprint(subsystem: "Subsystem") -> str:
     body = repr(subsystem)
     digest = hashlib.sha1(body.encode()).hexdigest()[:12]
     return f"{subsystem.name}:{digest}"
-
-
-@dataclasses.dataclass(frozen=True)
-class CachedSolve:
-    """The deterministic outputs of one steady-state evaluation."""
-
-    directions: tuple[DirectionRates, ...]
-    fired: tuple[FiredRule, ...]
-    features: dict
-    ideal_counters: dict
 
 
 @dataclasses.dataclass
@@ -427,6 +440,7 @@ class EvalCache:
             raise ValueError("no cache path given")
         payload = {
             "format_version": FORMAT_VERSION,
+            "solver_fingerprint": solver_fingerprint(),
             "entries": self.export_entries(),
             "stats": self.stats_dict(),
         }
@@ -444,7 +458,11 @@ class EvalCache:
         return path
 
     def load(self, path: str) -> int:
-        """Warm-start from a JSON store; returns entries absorbed."""
+        """Warm-start from a JSON store; returns entries absorbed.
+
+        A store stamped by different solver code (or not stamped at all)
+        is a cold start: no entries are absorbed and a warning is logged.
+        """
         with open(path) as handle:
             payload = json.load(handle)
         version = payload.get("format_version")
@@ -453,6 +471,12 @@ class EvalCache:
                 f"unsupported cache format {version!r} "
                 f"(expected {FORMAT_VERSION})"
             )
+        if payload.get("solver_fingerprint") != solver_fingerprint():
+            logger.warning(
+                "cache store %s was written by different solver code; "
+                "starting cold", path,
+            )
+            return 0
         added = self.import_entries(payload.get("entries", {}))
         self.loaded_entries += added
         return added

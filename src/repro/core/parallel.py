@@ -103,7 +103,6 @@ def _run_machine(payload: dict) -> dict:
             sa_params=payload["sa_params"],
             noise=payload["noise"],
             cache=cache,
-            batch=payload.get("batch", True),
             latency=payload.get("latency", True),
         )
         reports = driver.run().reports
@@ -117,7 +116,6 @@ def _run_machine(payload: dict) -> dict:
             sa_params=payload["sa_params"],
             noise=payload["noise"],
             cache=cache,
-            batch=payload.get("batch", True),
             latency=payload.get("latency", True),
         )
         reports = [collie.run()]
@@ -149,7 +147,6 @@ class ParallelCollie:
         workers: int = 1,
         cache: Optional[EvalCache] = None,
         recorder=None,
-        batch: bool = True,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         latency: bool = True,
@@ -183,8 +180,6 @@ class ParallelCollie:
         #: Parent-side cache: warm-starts every machine and absorbs
         #: their entries/stats after the fleet completes.
         self.cache = cache
-        #: Threaded into every machine's Collie (``--no-batch``).
-        self.batch = batch
         #: Threaded into every machine's Collie (``--no-latency``).
         self.latency = latency
         #: SA chains per machine: each machine steps a lockstep
@@ -238,7 +233,6 @@ class ParallelCollie:
                 "noise": self.noise,
                 "use_cache": self.cache is not None,
                 "cache_entries": warm_entries,
-                "batch": self.batch,
                 "latency": self.latency,
                 "chains": self.chains,
             }

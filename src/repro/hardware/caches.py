@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Hashable, Iterable
 
+from repro.hardware.ops import SCALAR
+
 
 class LRUCache:
     """Exact least-recently-used cache with hit/miss accounting."""
@@ -64,7 +66,9 @@ class LRUCache:
         self.hits = self.misses = self.evictions = 0
 
 
-def steady_state_miss_rate(working_set: float, capacity: float) -> float:
+def steady_state_miss_rate(
+    working_set: float, capacity: float, ops=SCALAR
+) -> float:
     """Closed-form LRU miss rate for uniform-random access.
 
     With a working set of ``w`` equally likely entries and ``c`` cache
@@ -73,12 +77,13 @@ def steady_state_miss_rate(working_set: float, capacity: float) -> float:
     access is ``max(0, 1 - c/w)``.  This matches :class:`LRUCache` measured
     on long uniform traces (see ``tests/hardware/test_caches.py``) and is
     exact in the limits (0 when the set fits, →1 as the set grows).
+    ``working_set`` may be a column (``ops``, :mod:`repro.hardware.ops`).
     """
-    if working_set <= 0:
-        return 0.0
+    occupied = working_set > 0
     if capacity <= 0:
-        return 1.0
-    return max(0.0, 1.0 - capacity / working_set)
+        return ops.where(occupied, 1.0, 0.0)
+    safe = ops.where(occupied, working_set, 1.0)
+    return ops.where(occupied, ops.maximum(0.0, 1.0 - capacity / safe), 0.0)
 
 
 def miss_stall_us(miss_fraction: float, refill_us: float) -> float:
@@ -100,6 +105,7 @@ def pressure_score(working_set: float, capacity: float, knee: float = 1.0) -> fl
     cache overflows (``knee`` < 1 moves the onset earlier).  This is what
     gives the search algorithm a gradient to climb: the paper's diagnostic
     counters tick up under load well before the anomaly manifests (§7.2).
+    Plain arithmetic, so ``working_set`` may equally be a column.
     """
     if capacity <= 0:
         return 1.0

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
-import time
 from typing import Optional
 
 import numpy as np
@@ -46,11 +44,14 @@ from repro.hardware.model import (
     DirectionRates,
     Measurement,
     SteadyStateModel,
+    assemble_solves,
     derive_latency,
+    ideal_counters,
     latency_for_solve,
+    solve_directions,
 )
 from repro.hardware.pfc import steady_state_pause_ratio
-from repro.hardware.rules import fired_rules
+from repro.hardware.rules import gate_rules
 from repro.hardware.subsystems import Subsystem
 from repro.hardware.workload import WorkloadDescriptor
 
@@ -263,32 +264,26 @@ def corun_solve(
 ):
     """Deterministic co-run solve of ``primary`` next to ``neighbor``.
 
-    The full datapath of :meth:`SteadyStateModel._solve`, with the
-    joint-occupancy feature vector in place of the solo one: rule
+    The stages of the solver kernel
+    (:func:`~repro.hardware.model.steady_state_solve`) in scalar mode,
+    with the joint-occupancy feature vector in place of the solo one: rule
     gating, the per-direction steady-state solve, the side-aware
     contention split, and ideal-counter synthesis from the *contended*
     directions (so the sampled pause/throughput counters — what the
     anomaly monitor reads — cohere with the degradation).  Pure
     function of its inputs; consumes no RNG.
     """
-    from repro.core.evalcache import CachedSolve
-
     subsystem = model.subsystem
     own = extract_features(primary, subsystem)
     features = joint_occupancy_features(primary, neighbor, subsystem, own=own)
-    fired = tuple(fired_rules(subsystem.rnic.rules, features))
-    directions = model._solve_directions(primary, features, fired)
+    rows = gate_rules(subsystem.rnic.rules, features)
+    directions = solve_directions(subsystem, primary, features, rows)
     tx_factor, rx_factor = contention_factors(primary, own, features)
     directions = tuple(
         contend_direction(d, tx_factor, rx_factor) for d in directions
     )
-    ideal = model._ideal_counters(primary, features, fired, directions)
-    return CachedSolve(
-        directions=directions,
-        fired=fired,
-        features=features,
-        ideal_counters=ideal,
-    )
+    ideal = ideal_counters(subsystem, primary, features, rows, directions)
+    return assemble_solves(primary, features, rows, directions, ideal)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -366,20 +361,9 @@ class CoRunModel(SteadyStateModel):
         #: also validates the victim against the topology up front.
         self.floor = victim_floor(subsystem, victim, victim_share)
 
-    def _solve(self, workload: WorkloadDescriptor, phase: str):
+    def _solve_point(self, workload: WorkloadDescriptor):
         """Co-run solve of the pinned victim next to ``workload``."""
-        cache = self.cache
-        if cache is not None:
-            cached = cache.lookup(self.subsystem, workload, phase=phase)
-            if cached is not None:
-                return cached
-        started = time.perf_counter()
-        self._validate(workload)
-        solve = corun_solve(self, self.victim, workload)
-        if cache is not None:
-            cache.store(self.subsystem, workload, solve)
-            cache.charge("solve", time.perf_counter() - started)
-        return solve
+        return corun_solve(self, self.victim, workload)
 
     def solve_points(self, workloads: list[WorkloadDescriptor]) -> list:
         """Batch seam: co-run solves for a set of attacker points.

@@ -7,68 +7,79 @@ cache-model outputs (miss fractions), and the host/platform flags (strict
 PCIe ordering, cross-socket paths).  Both the quirk gates
 (:mod:`repro.hardware.rules`) and the diagnostic-counter pressures read
 this vector.
+
+The extraction is written once against an ``ops`` namespace
+(:mod:`repro.hardware.ops`): called with one workload it returns the
+scalar feature dict; the batched solve calls it with a column view and
+gets one column per feature, in the same key order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hardware.caches import steady_state_miss_rate
+from repro.hardware.ops import SCALAR
 from repro.hardware.workload import WorkloadDescriptor
-from repro.verbs.constants import ROCE_HEADER_BYTES, Opcode, QPType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hardware.subsystems import Subsystem
 
 
+
+
 def extract_features(
-    workload: WorkloadDescriptor, subsystem: "Subsystem"
+    workload: WorkloadDescriptor, subsystem: "Subsystem", ops=SCALAR
 ) -> dict:
     """Compute the feature vector of a workload on a subsystem."""
+    w = workload
     rnic = subsystem.rnic
     rxq = rnic.rx_wqe_cache
-    src_path = subsystem.topology.dma_path(workload.src_device)
-    dst_path = subsystem.topology.dma_path(workload.dst_device)
+    src_path = ops.apply(subsystem.topology.dma_path, w.src_device)
+    dst_path = ops.apply(subsystem.topology.dma_path, w.dst_device)
+    bidi = w.is_bidirectional
 
     # Receive-WQE cache paths only exist for 2-sided traffic.
-    if workload.uses_recv_wqes:
-        rxq_capacity_miss = rxq.capacity_miss(workload.total_outstanding_recv_wqes)
-        rxq_burst_miss = rxq.burst_miss(workload.wq_depth, workload.wqe_batch)
-    else:
-        rxq_capacity_miss = 0.0
-        rxq_burst_miss = 0.0
+    uses_recv = w.uses_recv_wqes
+    rxq_capacity_miss = ops.where(
+        uses_recv, rxq.capacity_miss(w.total_outstanding_recv_wqes, ops), 0.0
+    )
+    rxq_burst_miss = ops.where(
+        uses_recv, rxq.burst_miss(w.wq_depth, w.wqe_batch, ops), 0.0
+    )
 
-    qps_working_set = workload.num_qps * (2 if workload.is_bidirectional else 1)
-    qpc_miss = steady_state_miss_rate(qps_working_set, rnic.qpc_cache_entries)
-    mtt_miss = steady_state_miss_rate(workload.total_mrs, rnic.mtt_cache_entries)
+    qps_working_set = w.num_qps * ops.where(bidi, 2, 1)
+    qpc_miss = steady_state_miss_rate(
+        qps_working_set, rnic.qpc_cache_entries, ops
+    )
+    mtt_miss = steady_state_miss_rate(w.total_mrs, rnic.mtt_cache_entries, ops)
 
+    flag = ops.to_float  # bool → 1.0 / 0.0
     features: dict = {
         # raw transport dimensions
-        "qp_type": workload.qp_type.value,
-        "opcode": workload.opcode.value,
-        "bidirectional": 1.0 if workload.is_bidirectional else 0.0,
-        "mtu": float(workload.mtu),
-        "num_qps": float(workload.num_qps),
-        "total_qps": float(qps_working_set),
-        "wqe_batch": float(workload.wqe_batch),
-        "sge_per_wqe": float(workload.sge_per_wqe),
-        "wq_depth": float(workload.wq_depth),
+        "qp_type": w.qp_type.value,
+        "opcode": w.opcode.value,
+        "bidirectional": flag(bidi),
+        "mtu": ops.to_float(w.mtu),
+        "num_qps": ops.to_float(w.num_qps),
+        "total_qps": ops.to_float(qps_working_set),
+        "wqe_batch": ops.to_float(w.wqe_batch),
+        "sge_per_wqe": ops.to_float(w.sge_per_wqe),
+        "wq_depth": ops.to_float(w.wq_depth),
         # message pattern
-        "avg_msg": workload.avg_msg_bytes,
-        "min_msg": float(workload.min_msg_bytes),
-        "max_msg": float(workload.max_msg_bytes),
-        "avg_pkts_per_msg": workload.packets_per_message(),
-        "small_frac": workload.small_message_fraction,
-        "large_frac": workload.large_message_fraction,
-        "mixes_small_and_large": 1.0 if workload.mixes_small_and_large else 0.0,
-        "sg_entry_mix": 1.0 if workload.sg_entry_mix else 0.0,
-        "sg_layout": workload.sg_layout.value,
+        "avg_msg": w.avg_msg_bytes,
+        "min_msg": ops.to_float(w.min_msg_bytes),
+        "max_msg": ops.to_float(w.max_msg_bytes),
+        "avg_pkts_per_msg": w.packets_per_message(),
+        "small_frac": w.small_message_fraction,
+        "large_frac": w.large_message_fraction,
+        "mixes_small_and_large": flag(w.mixes_small_and_large),
+        "sg_entry_mix": flag(w.sg_entry_mix),
+        "sg_layout": w.sg_layout.value,
         # memory allocation
-        "mrs_per_qp": float(workload.mrs_per_qp),
-        "total_mrs": float(workload.total_mrs),
-        "mr_bytes": float(workload.mr_bytes),
+        "mrs_per_qp": ops.to_float(w.mrs_per_qp),
+        "total_mrs": ops.to_float(w.total_mrs),
+        "mr_bytes": ops.to_float(w.mr_bytes),
         # derived cache metrics
         "rxq_capacity_miss": rxq_capacity_miss,
         "rxq_burst_miss": rxq_burst_miss,
@@ -76,261 +87,38 @@ def extract_features(
         "mtt_miss": mtt_miss,
         # load-shape aggregates used by the packet-processing quirks
         "short_req_outstanding": (
-            workload.num_qps * workload.wqe_batch * workload.small_message_fraction
+            w.num_qps * w.wqe_batch * w.small_message_fraction
         ),
-        "wqe_outstanding_bytes": float(
-            workload.num_qps * workload.wqe_batch * workload.wqe_bytes
+        "wqe_outstanding_bytes": ops.to_float(
+            w.num_qps * w.wqe_batch * w.wqe_bytes
         ),
         # host topology and platform flags
-        "src_device": workload.src_device,
-        "dst_device": workload.dst_device,
-        "crosses_socket": 1.0
-        if (src_path.crosses_socket or dst_path.crosses_socket)
-        else 0.0,
-        "via_root_complex": 1.0
-        if (src_path.via_root_complex or dst_path.via_root_complex)
-        else 0.0,
+        "src_device": w.src_device,
+        "dst_device": w.dst_device,
+        "crosses_socket": flag(
+            ops.or_(src_path.crosses_socket, dst_path.crosses_socket)
+        ),
+        "via_root_complex": flag(
+            ops.or_(src_path.via_root_complex, dst_path.via_root_complex)
+        ),
         # The data *sink* sits behind a root-complex detour: the forward
         # direction's destination always counts; with bidirectional
         # traffic the source memory is the reverse direction's sink.
-        "sink_via_root_complex": 1.0
-        if (
-            dst_path.via_root_complex
-            or (workload.is_bidirectional and src_path.via_root_complex)
-        )
-        else 0.0,
-        "uses_gpu_memory": 1.0
-        if (src_path.device.kind == "gpu" or dst_path.device.kind == "gpu")
-        else 0.0,
-        "loopback": 1.0 if workload.has_loopback else 0.0,
-        "duty_cycle": workload.duty_cycle,
+        "sink_via_root_complex": flag(
+            ops.or_(
+                dst_path.via_root_complex,
+                ops.and_(bidi, src_path.via_root_complex),
+            )
+        ),
+        "uses_gpu_memory": flag(
+            ops.or_(
+                src_path.device.kind == "gpu", dst_path.device.kind == "gpu"
+            )
+        ),
+        "loopback": flag(w.has_loopback),
+        "duty_cycle": w.duty_cycle,
         "strict_ordering": 0.0 if subsystem.pcie.relaxed_ordering else 1.0,
         "weak_cross_socket": 1.0 if subsystem.weak_cross_socket else 0.0,
         "loopback_unlimited": 0.0 if rnic.loopback_rate_limited else 1.0,
     }
     return features
-
-
-# -- batched (column-wise) extraction -----------------------------------------
-
-
-def _miss_column(working_set: np.ndarray, capacity: int) -> np.ndarray:
-    """Vector :func:`steady_state_miss_rate` for a scalar capacity."""
-    if capacity <= 0:
-        return np.where(working_set > 0.0, 1.0, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.maximum(0.0, 1.0 - capacity / working_set)
-    return np.where(working_set > 0.0, rate, 0.0)
-
-
-def extract_feature_columns(
-    workloads: Sequence[WorkloadDescriptor], subsystem: "Subsystem"
-) -> tuple[dict, dict]:
-    """Column-wise :func:`extract_features` over a batch of workloads.
-
-    Returns ``(columns, extra)``: ``columns`` maps each feature name to a
-    float64 array (or a list of strings for categorical features) in the
-    exact key order of the scalar feature dict, and ``extra`` carries the
-    ``_``-prefixed solver inputs (boolean masks, wire bytes per message,
-    DMA bandwidths) that the batched steady-state solve needs but that
-    are not features.  Every arithmetic step mirrors the scalar path
-    operation-for-operation so materialized rows are bit-identical.
-    """
-    rnic = subsystem.rnic
-    rxq = rnic.rx_wqe_cache
-    topology = subsystem.topology
-    n = len(workloads)
-    paths: dict = {}
-
-    def path_of(device: str):
-        cached = paths.get(device)
-        if cached is None:
-            cached = topology.dma_path(device)
-            paths[device] = cached
-        return cached
-
-    qp_type = [w.qp_type.value for w in workloads]
-    opcode = [w.opcode.value for w in workloads]
-    sg_layout = [w.sg_layout.value for w in workloads]
-    src_device = [w.src_device for w in workloads]
-    dst_device = [w.dst_device for w in workloads]
-
-    bidi = np.array([w.is_bidirectional for w in workloads], dtype=bool)
-    is_rc = np.array([w.qp_type == QPType.RC for w in workloads], dtype=bool)
-    is_read = np.array([w.opcode == Opcode.READ for w in workloads], dtype=bool)
-    uses_recv = np.array([w.uses_recv_wqes for w in workloads], dtype=bool)
-    loopback = np.array([w.has_loopback for w in workloads], dtype=bool)
-
-    mtu = np.array([w.mtu for w in workloads], dtype=np.float64)
-    num_qps = np.array([w.num_qps for w in workloads], dtype=np.float64)
-    wqe_batch = np.array([w.wqe_batch for w in workloads], dtype=np.float64)
-    sge = np.array([w.sge_per_wqe for w in workloads], dtype=np.float64)
-    wq_depth = np.array([w.wq_depth for w in workloads], dtype=np.float64)
-    mrs_per_qp = np.array([w.mrs_per_qp for w in workloads], dtype=np.float64)
-    total_mrs = np.array([w.total_mrs for w in workloads], dtype=np.float64)
-    mr_bytes = np.array([w.mr_bytes for w in workloads], dtype=np.float64)
-    duty = np.array([w.duty_cycle for w in workloads], dtype=np.float64)
-    wqe_bytes = np.array([w.wqe_bytes for w in workloads], dtype=np.float64)
-    total_recv = np.array(
-        [w.total_outstanding_recv_wqes for w in workloads], dtype=np.float64
-    )
-
-    # Message-pattern aggregates come from the same per-point property
-    # code as the scalar path (tuple sums and divisions, not re-derived
-    # array math) so the floats match bit-for-bit; they depend only on
-    # (msg sizes, MTU), which batches of related points mostly share, so
-    # the rows are memoized by that key.
-    pattern_memo: dict = {}
-    pattern_rows = []
-    for w in workloads:
-        key = (w.msg_sizes_bytes, w.mtu)
-        row = pattern_memo.get(key)
-        if row is None:
-            row = (
-                w.avg_msg_bytes,
-                float(w.min_msg_bytes),
-                float(w.max_msg_bytes),
-                w.packets_per_message(),
-                w.small_message_fraction,
-                w.large_message_fraction,
-                w.mixes_small_and_large,
-                sum(
-                    s + w.packets_per_message(s) * ROCE_HEADER_BYTES
-                    for s in w.msg_sizes_bytes
-                )
-                / len(w.msg_sizes_bytes),
-            )
-            pattern_memo[key] = row
-        pattern_rows.append(row)
-    (
-        avg_list, min_list, max_list, pkts_list,
-        small_list, large_list, mixes_list, wire_list,
-    ) = zip(*pattern_rows)
-    avg_msg = np.array(avg_list, dtype=np.float64)
-    min_msg = np.array(min_list, dtype=np.float64)
-    max_msg = np.array(max_list, dtype=np.float64)
-    avg_pkts = np.array(pkts_list, dtype=np.float64)
-    small_frac = np.array(small_list, dtype=np.float64)
-    large_frac = np.array(large_list, dtype=np.float64)
-    mixes = np.array(mixes_list, dtype=bool)
-    sg_mix = np.array([w.sg_entry_mix for w in workloads], dtype=bool)
-    wire_per_msg = np.array(wire_list, dtype=np.float64)
-
-    src_paths = [path_of(d) for d in src_device]
-    dst_paths = [path_of(d) for d in dst_device]
-    crosses = np.array(
-        [s.crosses_socket or d.crosses_socket
-         for s, d in zip(src_paths, dst_paths)],
-        dtype=bool,
-    )
-    via_rc = np.array(
-        [s.via_root_complex or d.via_root_complex
-         for s, d in zip(src_paths, dst_paths)],
-        dtype=bool,
-    )
-    sink_via_rc = np.array(
-        [
-            d.via_root_complex or (b and s.via_root_complex)
-            for s, d, b in zip(src_paths, dst_paths, bidi.tolist())
-        ],
-        dtype=bool,
-    )
-    uses_gpu = np.array(
-        [s.device.kind == "gpu" or d.device.kind == "gpu"
-         for s, d in zip(src_paths, dst_paths)],
-        dtype=bool,
-    )
-    src_bw = np.array(
-        [p.bandwidth_gbps for p in src_paths], dtype=np.float64
-    )
-    dst_bw = np.array(
-        [p.bandwidth_gbps for p in dst_paths], dtype=np.float64
-    )
-
-    total_qps = np.where(bidi, num_qps * 2.0, num_qps)
-    rxq_capacity_miss = np.where(
-        uses_recv & (total_recv > 0.0),
-        np.maximum(0.0, 1.0 - rxq.total_entries / np.maximum(total_recv, 1.0)),
-        0.0,
-    )
-    rxq_burst_miss = np.where(
-        uses_recv & (wq_depth > rxq.per_qp_entries) & (wqe_batch > 0.0),
-        np.maximum(
-            0.0, 1.0 - rxq.prefetch_window / np.maximum(wqe_batch, 1.0)
-        ),
-        0.0,
-    )
-    qpc_miss = _miss_column(total_qps, rnic.qpc_cache_entries)
-    mtt_miss = _miss_column(total_mrs, rnic.mtt_cache_entries)
-
-    columns: dict = {
-        "qp_type": qp_type,
-        "opcode": opcode,
-        "bidirectional": np.where(bidi, 1.0, 0.0),
-        "mtu": mtu,
-        "num_qps": num_qps,
-        "total_qps": total_qps,
-        "wqe_batch": wqe_batch,
-        "sge_per_wqe": sge,
-        "wq_depth": wq_depth,
-        "avg_msg": avg_msg,
-        "min_msg": min_msg,
-        "max_msg": max_msg,
-        "avg_pkts_per_msg": avg_pkts,
-        "small_frac": small_frac,
-        "large_frac": large_frac,
-        "mixes_small_and_large": np.where(mixes, 1.0, 0.0),
-        "sg_entry_mix": np.where(sg_mix, 1.0, 0.0),
-        "sg_layout": sg_layout,
-        "mrs_per_qp": mrs_per_qp,
-        "total_mrs": total_mrs,
-        "mr_bytes": mr_bytes,
-        "rxq_capacity_miss": rxq_capacity_miss,
-        "rxq_burst_miss": rxq_burst_miss,
-        "qpc_miss": qpc_miss,
-        "mtt_miss": mtt_miss,
-        "short_req_outstanding": num_qps * wqe_batch * small_frac,
-        "wqe_outstanding_bytes": num_qps * wqe_batch * wqe_bytes,
-        "src_device": src_device,
-        "dst_device": dst_device,
-        "crosses_socket": np.where(crosses, 1.0, 0.0),
-        "via_root_complex": np.where(via_rc, 1.0, 0.0),
-        "sink_via_root_complex": np.where(sink_via_rc, 1.0, 0.0),
-        "uses_gpu_memory": np.where(uses_gpu, 1.0, 0.0),
-        "loopback": np.where(loopback, 1.0, 0.0),
-        "duty_cycle": duty,
-        "strict_ordering": np.full(
-            n, 0.0 if subsystem.pcie.relaxed_ordering else 1.0
-        ),
-        "weak_cross_socket": np.full(
-            n, 1.0 if subsystem.weak_cross_socket else 0.0
-        ),
-        "loopback_unlimited": np.full(
-            n, 0.0 if rnic.loopback_rate_limited else 1.0
-        ),
-    }
-    extra = {
-        "_bidi": bidi,
-        "_is_rc": is_rc,
-        "_is_read": is_read,
-        "_uses_recv": uses_recv,
-        "_wire_per_msg": wire_per_msg,
-        "_wqe_bytes": wqe_bytes,
-        "_src_bw": src_bw,
-        "_dst_bw": dst_bw,
-    }
-    return columns, extra
-
-
-def materialize_features(columns: dict, n: int) -> list[dict]:
-    """Per-point feature dicts from columns, in scalar key order.
-
-    ``.tolist()`` converts every float64 cell to a Python float, so the
-    dicts are JSON-serialisable and compare equal (``==`` and ``repr``)
-    to scalar :func:`extract_features` output.
-    """
-    items = [
-        (name, col if isinstance(col, list) else col.tolist())
-        for name, col in columns.items()
-    ]
-    return [{name: col[i] for name, col in items} for i in range(n)]

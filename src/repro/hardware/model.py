@@ -31,10 +31,11 @@ from repro.hardware.counters import (
     average_counters,
 )
 from repro.hardware.features import extract_features
+from repro.hardware.ops import SCALAR, ops_for
 from repro.hardware.pcie import CQE_BYTES, DOORBELL_BYTES, TLP_HEADER_BYTES
 from repro.hardware.pfc import pause_stall_us, steady_state_pause_ratio
-from repro.hardware.rules import FiredRule, fired_latency_rules, fired_rules
-from repro.hardware.workload import WorkloadDescriptor
+from repro.hardware.rules import FiredRule, fired_latency_rules, gate_rules
+from repro.hardware.workload import WorkloadDescriptor, packets_for
 from repro.verbs.constants import ROCE_HEADER_BYTES, Opcode, QPType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,6 +62,16 @@ class DirectionRates:
     @property
     def goodput_gbps(self) -> float:
         return self.payload_bytes_per_sec * 8 / 1e9
+
+
+@dataclasses.dataclass(frozen=True)
+class CachedSolve:
+    """The deterministic outputs of one steady-state evaluation."""
+
+    directions: tuple[DirectionRates, ...]
+    fired: tuple[FiredRule, ...]
+    features: dict
+    ideal_counters: dict
 
 
 #: Fraction of a cache-refill stall that survives to the completion
@@ -543,8 +554,6 @@ class SteadyStateModel:
 
     def _solve(self, workload: WorkloadDescriptor, phase: str):
         """Deterministic solve, memoized when a cache is attached."""
-        from repro.core.evalcache import CachedSolve
-
         cache = self.cache
         if cache is not None:
             cached = cache.lookup(self.subsystem, workload, phase=phase)
@@ -552,20 +561,15 @@ class SteadyStateModel:
                 return cached
         started = time.perf_counter()
         self._validate(workload)
-        features = extract_features(workload, self.subsystem)
-        fired = tuple(fired_rules(self.subsystem.rnic.rules, features))
-        directions = self._solve_directions(workload, features, fired)
-        ideal = self._ideal_counters(workload, features, fired, directions)
-        solve = CachedSolve(
-            directions=directions,
-            fired=fired,
-            features=features,
-            ideal_counters=ideal,
-        )
+        solve = self._solve_point(workload)
         if cache is not None:
             cache.store(self.subsystem, workload, solve)
             cache.charge("solve", time.perf_counter() - started)
         return solve
+
+    def _solve_point(self, workload: WorkloadDescriptor):
+        """Uncached solve of one validated point (the override seam)."""
+        return steady_state_solve(self.subsystem, [workload])[0]
 
     # -- validation -----------------------------------------------------------
 
@@ -579,114 +583,166 @@ class SteadyStateModel:
                     f"{device!r}; available: {topo.device_names()}"
                 )
 
-    # -- per-direction solving ---------------------------------------------
 
-    def _solve_directions(
-        self,
-        workload: WorkloadDescriptor,
-        features: dict,
-        fired: tuple[FiredRule, ...],
-    ) -> tuple[DirectionRates, ...]:
-        tx_factor = math.prod(
-            f.factor for f in fired if f.rule.side == "tx"
-        )
-        rx_factor = math.prod(
-            f.factor for f in fired if f.rule.side == "rx"
-        )
-        names_devices = [("fwd", workload.src_device, workload.dst_device)]
-        if workload.is_bidirectional:
-            names_devices.append(("rev", workload.dst_device, workload.src_device))
-        return tuple(
-            self._solve_one(workload, features, name, src, dst, tx_factor, rx_factor)
-            for name, src, dst in names_devices
-        )
+# -- the solver kernel --------------------------------------------------------
+#
+# Each stage is written once against ``ops`` (repro.hardware.ops): with
+# SCALAR, ``w`` is one WorkloadDescriptor and every value a Python
+# number; with ColumnOps, ``w`` is a column view and every value a
+# float64 column.  Both modes run the same IEEE operations in the same
+# order, so batched solves are bit-identical to scalar ones.
 
-    def _solve_one(
-        self,
-        w: WorkloadDescriptor,
-        features: dict,
-        name: str,
-        src_device: str,
-        dst_device: str,
-        tx_factor: float,
-        rx_factor: float,
-    ) -> DirectionRates:
-        rnic = self.subsystem.rnic
-        pcie = self.subsystem.pcie
-        topo = self.subsystem.topology
 
-        payload = w.avg_msg_bytes
-        data_pkts = w.packets_per_message()
-        wire_per_msg = sum(
-            s + w.packets_per_message(s) * ROCE_HEADER_BYTES
-            for s in w.msg_sizes_bytes
-        ) / len(w.msg_sizes_bytes)
-        pkt_events = self._packet_events_per_message(w, data_pkts, rnic.ack_coalesce)
+def solve_batch(subsystem: "Subsystem", workloads: "list[WorkloadDescriptor]"):
+    """Deterministic solve of N validated points — the batch seam.
 
-        # WQE issue cost: the initiator fetches its WQEs over PCIe; the
-        # doorbell and the batch's TLP header amortise over the batch.
-        # Cache-refill and receive-WQE-refetch traffic is deliberately NOT
-        # charged here: the RNIC pipeline hides those penalties except in
-        # the regimes Appendix A describes, which enter through the quirk
-        # rules — keeping the structural accounting conservative ensures a
-        # workload is anomalous if and only if a documented rule fires.
-        issue_down = (
-            w.wqe_bytes + (TLP_HEADER_BYTES + DOORBELL_BYTES) / w.wqe_batch
-        )
-        payload_down = pcie.transfer_bytes(int(round(payload)))
-        payload_up = payload_down
+    Callers dedupe and cache around this function
+    (:mod:`repro.core.batcheval`); the kernel picks the execution mode.
+    One-point solves (:meth:`SteadyStateModel._solve`) call the kernel
+    directly, so only batch solves pass through this name.
+    """
+    return steady_state_solve(subsystem, workloads)
 
-        if w.opcode is Opcode.READ:
-            # The data receiver is the initiator: it issues the read WQEs
-            # and absorbs the response payload.
-            sender_down = payload_down
-            sender_up = 0.0
-            receiver_down = issue_down
-            receiver_up = payload_up + CQE_BYTES
+
+def steady_state_solve(
+    subsystem: "Subsystem", workloads: "list[WorkloadDescriptor]"
+) -> list:
+    """The solver kernel: features → rule gates → directions → counters.
+
+    Returns one :class:`CachedSolve` per point, in order.  A single
+    point runs in scalar mode, larger sets as columns
+    (:func:`repro.hardware.ops.ops_for`).
+    """
+    if not workloads:
+        return []
+    ops, w = ops_for(workloads)
+    features = extract_features(w, subsystem, ops)
+    rows = gate_rules(subsystem.rnic.rules, features, ops)
+    directions = solve_directions(subsystem, w, features, rows, ops)
+    counters = ideal_counters(subsystem, w, features, rows, directions, ops)
+    return assemble_solves(w, features, rows, directions, counters, ops)
+
+
+def _wire_bytes_per_message(sizes: tuple, mtu: int) -> float:
+    """Mean wire bytes of one message of the pattern, headers included."""
+    return sum(
+        s + packets_for(s, mtu) * ROCE_HEADER_BYTES for s in sizes
+    ) / len(sizes)
+
+
+def _squared(u: float) -> float:
+    # Python pow: scalar ``u ** 2`` is not always the same float as a
+    # multiply (which is what a numpy square would do), so the kernel
+    # applies it per point in both modes.
+    return u ** 2
+
+
+def solve_directions(
+    subsystem: "Subsystem",
+    w: WorkloadDescriptor,
+    features: dict,
+    rows: list,
+    ops=SCALAR,
+) -> tuple[DirectionRates, ...]:
+    """Steady-state rates per traffic direction: ``(fwd,)`` or ``(fwd, rev)``.
+
+    ``rows`` are the fired rules (:func:`~repro.hardware.rules.gate_rules`).
+    With columns, ``rev`` is solved for every point as soon as one point
+    is bidirectional; only bidirectional points keep it.
+    """
+    rnic = subsystem.rnic
+    pcie = subsystem.pcie
+    topo = subsystem.topology
+
+    tx_factor = 1.0
+    rx_factor = 1.0
+    for rule, mask, factor in rows:
+        if rule.side == "tx":
+            tx_factor = tx_factor * ops.where(mask, factor, 1.0)
         else:
-            sender_down = payload_down + issue_down
-            sender_up = CQE_BYTES
-            receiver_down = 0.0
-            receiver_up = payload_up + (CQE_BYTES if w.uses_recv_wqes else 0.0)
+            rx_factor = rx_factor * ops.where(mask, factor, 1.0)
 
-        pcie_budget = pcie.effective_bytes_per_sec
-        if w.is_bidirectional:
-            # Each NIC plays sender for one direction and receiver for the
-            # other, sharing each PCIe bus direction between the two roles.
-            cap_down = pcie_budget / max(sender_down + receiver_down, 1e-9)
-            cap_up = pcie_budget / max(sender_up + receiver_up, 1e-9)
-        else:
-            cap_down = pcie_budget / max(sender_down, receiver_down, 1e-9)
-            cap_up = pcie_budget / max(sender_up, receiver_up, 1e-9)
+    bidi = w.is_bidirectional
+    is_read = w.opcode == Opcode.READ
+    payload = w.avg_msg_bytes
+    data_pkts = features["avg_pkts_per_msg"]
+    wire_per_msg = ops.apply(_wire_bytes_per_message, w.msg_sizes_bytes, w.mtu)
+    # Packet-processing events per message, including ACK traffic.
+    pkt_events = ops.where(
+        w.qp_type == QPType.RC,
+        ops.where(
+            is_read,
+            data_pkts + 1.0,  # response packets + read request
+            data_pkts * (1.0 + 1.0 / rnic.ack_coalesce),
+        ),
+        data_pkts,
+    )
 
-        wire_cap = rnic.line_rate_bytes_per_sec / wire_per_msg
-        pps_budget = rnic.max_pps / (2 if w.is_bidirectional else 1)
-        pps_cap = pps_budget / pkt_events
+    # WQE issue cost: the initiator fetches its WQEs over PCIe; the
+    # doorbell and the batch's TLP header amortise over the batch.
+    # Cache-refill and receive-WQE-refetch traffic is deliberately NOT
+    # charged here: the RNIC pipeline hides those penalties except in
+    # the regimes Appendix A describes, which enter through the quirk
+    # rules — keeping the structural accounting conservative ensures a
+    # workload is anomalous if and only if a documented rule fires.
+    issue_down = (
+        w.wqe_bytes + (TLP_HEADER_BYTES + DOORBELL_BYTES) / w.wqe_batch
+    )
+    payload_down = pcie.transfer_bytes(ops.rint(payload), ops)
+    payload_up = payload_down
 
-        src_path = topo.dma_path(src_device)
-        dst_path = topo.dma_path(dst_device)
-        tx_dma_cap = self._dma_cap(src_path.bandwidth_gbps, payload)
-        rx_dma_cap = self._dma_cap(dst_path.bandwidth_gbps, payload)
+    # READ: the data receiver is the initiator — it issues the read
+    # WQEs and absorbs the response payload.
+    sender_down = ops.where(is_read, payload_down, payload_down + issue_down)
+    sender_up = ops.where(is_read, 0.0, CQE_BYTES)
+    receiver_down = ops.where(is_read, issue_down, 0.0)
+    receiver_up = payload_up + ops.where(
+        is_read, CQE_BYTES, ops.where(w.uses_recv_wqes, CQE_BYTES, 0.0)
+    )
 
-        sender_pcie_cap = cap_down if w.opcode is Opcode.READ else min(
-            cap_down, cap_up
-        )
-        receiver_pcie_cap = min(cap_down, cap_up)
+    # Bidirectional: each NIC plays sender for one direction and
+    # receiver for the other, sharing each PCIe bus direction between
+    # the two roles.
+    budget = pcie.effective_bytes_per_sec
+    down = ops.where(
+        bidi,
+        sender_down + receiver_down,
+        ops.maximum(sender_down, receiver_down),
+    )
+    up = ops.where(
+        bidi, sender_up + receiver_up, ops.maximum(sender_up, receiver_up)
+    )
+    cap_down = budget / ops.maximum(down, 1e-9)
+    cap_up = budget / ops.maximum(up, 1e-9)
 
+    wire_cap = rnic.line_rate_bytes_per_sec / wire_per_msg
+    pps_cap = rnic.max_pps / ops.where(bidi, 2, 1) / pkt_events
+
+    # DMA-path caps; an unlimited (infinite) path bandwidth stays inf.
+    dma_floor = ops.maximum(payload, 1.0)
+    src_bw = ops.apply(topo.dma_path, w.src_device).bandwidth_gbps
+    dst_bw = ops.apply(topo.dma_path, w.dst_device).bandwidth_gbps
+    src_dma = src_bw * 1e9 / 8 / dma_floor
+    dst_dma = dst_bw * 1e9 / 8 / dma_floor
+
+    receiver_pcie_cap = ops.minimum(cap_down, cap_up)
+    sender_pcie_cap = ops.where(is_read, cap_down, receiver_pcie_cap)
+
+    def direction(name, tx_dma, rx_dma):
         # A sender that idles between requests (duty cycle < 1, the §8
         # inter-arrival extension) offers proportionally less load; the
         # receiver-side effects then only manifest when the *offered*
         # rate still exceeds the degraded service rate.
         injection = (
-            min(wire_cap, pps_cap, sender_pcie_cap, tx_dma_cap)
+            ops.minimum(wire_cap, pps_cap, sender_pcie_cap, tx_dma)
             * tx_factor
             * w.duty_cycle
         )
         service = (
-            min(pps_cap, receiver_pcie_cap, rx_dma_cap, wire_cap) * rx_factor
+            ops.minimum(pps_cap, receiver_pcie_cap, rx_dma, wire_cap)
+            * rx_factor
         )
-        achieved = min(injection, service)
-        pause = steady_state_pause_ratio(injection, service)
+        achieved = ops.minimum(injection, service)
         return DirectionRates(
             name=name,
             achieved_msgs_per_sec=achieved,
@@ -694,540 +750,233 @@ class SteadyStateModel:
             payload_bytes_per_sec=achieved * payload,
             wire_bytes_per_sec=achieved * wire_per_msg,
             packets_per_sec=achieved * pkt_events,
-            pause_ratio=pause,
+            pause_ratio=steady_state_pause_ratio(injection, service, ops),
         )
 
-    @staticmethod
-    def _dma_cap(bandwidth_gbps: float, payload: float) -> float:
-        if math.isinf(bandwidth_gbps):
-            return math.inf
-        return bandwidth_gbps * 1e9 / 8 / max(payload, 1.0)
-
-    @staticmethod
-    def _packet_events_per_message(
-        w: WorkloadDescriptor, data_pkts: float, ack_coalesce: int
-    ) -> float:
-        """Packet-processing events per message, including ACK traffic."""
-        if w.qp_type is QPType.RC:
-            if w.opcode is Opcode.READ:
-                return data_pkts + 1.0  # response packets + read request
-            return data_pkts * (1.0 + 1.0 / ack_coalesce)
-        return data_pkts
-
-    # -- counters -----------------------------------------------------------
-
-    def _ideal_counters(
-        self,
-        w: WorkloadDescriptor,
-        features: dict,
-        fired: tuple[FiredRule, ...],
-        directions: tuple[DirectionRates, ...],
-    ) -> dict:
-        rnic = self.subsystem.rnic
-        rxq = rnic.rx_wqe_cache
-        fwd = directions[0]
-        rev = directions[1] if len(directions) > 1 else None
-
-        msgs_total = sum(d.achieved_msgs_per_sec for d in directions)
-        pkts_total = sum(d.packets_per_sec for d in directions)
-        bytes_total = sum(d.payload_bytes_per_sec for d in directions)
-        pause_ratio = max(d.pause_ratio for d in directions)
-
-        counters: dict = {
-            "tx_bytes_per_sec": fwd.wire_bytes_per_sec,
-            "rx_bytes_per_sec": rev.wire_bytes_per_sec if rev else 0.0,
-            "tx_packets_per_sec": fwd.packets_per_sec,
-            "rx_packets_per_sec": rev.packets_per_sec if rev else 0.0,
-            "pause_duration_us_per_sec": pause_ratio * 1e6,
-        }
-
-        # Diagnostic counters: a smooth pressure term (the gradient the
-        # search climbs) plus the realised miss/stall events.
-        if w.uses_recv_wqes:
-            # Multi-packet SENDs pin their receive WQE across all packets
-            # of the message, so mid-size messages at small MTU stress the
-            # cache harder than single-packet ones.
-            pinning = 1.0 + min(w.packets_per_message(), 8.0) / 4.0
-            rx_wqe = (
-                min(1.0, features["rxq_capacity_miss"] + features["rxq_burst_miss"])
-                + 0.3 * pressure_score(
-                    w.total_outstanding_recv_wqes, rxq.total_entries
-                )
-                + 0.2
-                * pressure_score(w.wq_depth, max(rxq.per_qp_entries, 1))
-                * (w.wqe_batch / (w.wqe_batch + rxq.prefetch_window))
-            ) * msgs_total * pinning
-        else:
-            rx_wqe = 0.0
-
-        # Context-switch intensity: shallow work queues and unbatched
-        # posting force the scheduler to rotate across QPs per request,
-        # touching a different QPC each time; deep per-QP bursts keep the
-        # context hot.
-        switch_intensity = (
-            32.0 / (32.0 + w.wq_depth) + 2.0 / (2.0 + w.wqe_batch)
-        )
-        qpc = (
-            features["qpc_miss"]
-            + 0.3 * pressure_score(features["total_qps"], rnic.qpc_cache_entries)
-        ) * msgs_total * switch_intensity
-        mtt = (
-            features["mtt_miss"]
-            + 0.3 * pressure_score(w.total_mrs, rnic.mtt_cache_entries)
-        ) * msgs_total
-
-        mix = features["small_frac"] * features["large_frac"] * 4.0
-        ordering = (
-            features["strict_ordering"]
-            * (0.3 + 0.7 * features["bidirectional"])
-            * min(1.0, w.sge_per_wqe / 3.0)
-            * (0.3 + 0.7 * features["sg_entry_mix"])
-            * (mix + 0.05)
-            * pkts_total
-            * 0.1
-        )
-
-        cross_socket = (
-            features["crosses_socket"]
-            * (1.0 + features["bidirectional"])
-            * (1.0 + features["weak_cross_socket"])
-            * bytes_total
-            * 1e-5
-        )
-
-        incast = features["loopback"] * msgs_total * (
-            0.5 if not rnic.loopback_rate_limited else 0.1
-        )
-
-        overload = max(
-            0.0,
-            max(
-                (d.injection_msgs_per_sec / d.achieved_msgs_per_sec - 1.0)
-                if d.achieved_msgs_per_sec > 0
-                else 0.0
-                for d in directions
-            ),
-        )
-        read_pressure = (
-            (1.0 if w.opcode is Opcode.READ else 0.0)
-            * min(1.0, w.packets_per_message() / 16.0)
-            * (1024.0 / w.mtu)
-        )
-        # Short-request storms pressure the shared (not fully
-        # bidirectional) packet processor from both sides at once; RC's
-        # packet-level ACKs add processing events per request, and the
-        # storm only blocks anything when long messages are present.
-        rc_ack_load = 1.5 if w.qp_type is QPType.RC else 1.0
-        short_pressure = (
-            pressure_score(
-                features["short_req_outstanding"]
-                * (1.0 + features["bidirectional"])
-                * rc_ack_load,
-                # Knee past the quirk threshold so the gradient survives
-                # through the whole approach to the trigger region.
-                4 * 12288,
-            )
-            * (0.4 + 0.6 * min(1.0, 4.0 * features["large_frac"]))
-            * rc_ack_load
-        )
-        rx_buffer = (
-            pause_ratio * 10.0
-            + min(overload, 10.0)
-            + 0.5 * short_pressure
-            + 0.3 * read_pressure
-        ) * 1e4
-
-        # WQE-fetch pressure doubles for bidirectional traffic (both NICs
-        # fetch) and grows for READ (response-tracking state per WQE).
-        wqe_pressure_bytes = (
-            features["wqe_outstanding_bytes"]
-            * (1.0 + features["bidirectional"])
-            * (1.5 if w.opcode is Opcode.READ else 1.0)
-        )
-        tx_wqe_fetch = (
-            pressure_score(wqe_pressure_bytes, 256 * 1024)
-            + 0.2 * min(1.0, w.sge_per_wqe / 4.0)
-        ) * msgs_total * 0.1
-
-        down_util = min(1.0, bytes_total / self.subsystem.pcie.effective_bytes_per_sec)
-        backpressure = (down_util ** 2) * 5e3
-
-        counters.update(
-            {
-                "rx_wqe_cache_miss": rx_wqe,
-                "qpc_cache_miss": qpc,
-                "mtt_cache_miss": mtt,
-                "pcie_ordering_stall": ordering,
-                "cross_socket_pressure": cross_socket,
-                "internal_incast_events": incast,
-                "rx_buffer_full_events": rx_buffer,
-                "tx_wqe_fetch_stall": tx_wqe_fetch,
-                "pcie_internal_backpressure": backpressure,
-            }
-        )
-
-        # A fired quirk drives its designated counter to an extreme region
-        # (paper §7.2: "most anomalies are found when the diagnostic
-        # counter value is high").
-        for fired_rule in fired:
-            spike = (1.0 - fired_rule.factor) * max(msgs_total, 1.0) * 2.0
-            counters[fired_rule.rule.counter] = (
-                counters.get(fired_rule.rule.counter, 0.0) + spike
-            )
-        return counters
+    fwd = direction("fwd", src_dma, dst_dma)
+    if not ops.any(bidi):
+        return (fwd,)
+    return (fwd, direction("rev", dst_dma, src_dma))
 
 
-# -- batched (column-wise) solving --------------------------------------------
-
-
-def _pressure_column(working_set, capacity: float, n: int, knee: float = 1.0):
-    """Vector :func:`~repro.hardware.caches.pressure_score`."""
-    if capacity <= 0:
-        return np.ones(n)
-    x = working_set / (capacity * knee)
-    return x / (1.0 + x)
-
-
-def solve_batch(subsystem: "Subsystem", workloads: "list[WorkloadDescriptor]"):
-    """Vectorized deterministic solve of N workload points.
-
-    The exact computation of :meth:`SteadyStateModel._solve` — feature
-    extraction, rule gating, per-direction steady-state solve, ideal
-    counter synthesis — restated as float64 column arithmetic.  Every
-    step applies the same IEEE operations in the same order as the
-    scalar path, so the returned :class:`CachedSolve` entries are
-    bit-identical to scalar solves (the one pow-vs-multiply hazard,
-    ``down_util ** 2``, is deliberately kept per point).  Workloads are
-    assumed validated; callers dedupe and cache around this function
-    (:mod:`repro.core.batcheval`).
-    """
-    from repro.core.evalcache import CachedSolve
-    from repro.hardware.features import (
-        extract_feature_columns,
-        materialize_features,
-    )
-    from repro.hardware.rules import batch_fired_rules, materialize_fired
-
-    n = len(workloads)
-    if n == 0:
-        return []
+def ideal_counters(
+    subsystem: "Subsystem",
+    w: WorkloadDescriptor,
+    features: dict,
+    rows: list,
+    directions: tuple[DirectionRates, ...],
+    ops=SCALAR,
+) -> dict:
+    """Noise-free counter rates of solved directions (the monitor's truth)."""
     rnic = subsystem.rnic
     rxq = rnic.rx_wqe_cache
-    pcie = subsystem.pcie
+    bidi = w.is_bidirectional
+    is_read = w.opcode == Opcode.READ
+    data_pkts = features["avg_pkts_per_msg"]
+    fwd = directions[0]
+    rev = directions[-1]  # only read where bidirectional
 
-    columns, extra = extract_feature_columns(workloads, subsystem)
-    rule_rows, tx_factor, rx_factor = batch_fired_rules(
-        rnic.rules, columns, n
+    def total(rate):
+        return getattr(fwd, rate) + ops.where(bidi, getattr(rev, rate), 0.0)
+
+    msgs_total = total("achieved_msgs_per_sec")
+    pkts_total = total("packets_per_sec")
+    bytes_total = total("payload_bytes_per_sec")
+    pause_ratio = ops.where(
+        bidi, ops.maximum(fwd.pause_ratio, rev.pause_ratio), fwd.pause_ratio
     )
 
-    bidi = extra["_bidi"]
-    is_rc = extra["_is_rc"]
-    is_read = extra["_is_read"]
-    uses_recv = extra["_uses_recv"]
-    wire_per_msg = extra["_wire_per_msg"]
-    wqe_bytes = extra["_wqe_bytes"]
-    payload = columns["avg_msg"]
-    data_pkts = columns["avg_pkts_per_msg"]
-    wqe_batch = columns["wqe_batch"]
-    duty = columns["duty_cycle"]
+    counters: dict = {
+        "tx_bytes_per_sec": fwd.wire_bytes_per_sec,
+        "rx_bytes_per_sec": ops.where(bidi, rev.wire_bytes_per_sec, 0.0),
+        "tx_packets_per_sec": fwd.packets_per_sec,
+        "rx_packets_per_sec": ops.where(bidi, rev.packets_per_sec, 0.0),
+        "pause_duration_us_per_sec": pause_ratio * 1e6,
+    }
 
-    # -- per-direction resource pricing (mirrors _solve_one) ------------------
-    issue_down = wqe_bytes + (TLP_HEADER_BYTES + DOORBELL_BYTES) / wqe_batch
-    payload_int = np.rint(payload).astype(np.int64)
-    mps = pcie.max_payload_bytes
-    payload_down = np.where(
-        payload_int <= 0,
-        np.int64(0),
-        payload_int + (-(-payload_int // mps)) * TLP_HEADER_BYTES,
-    ).astype(np.float64)
-    payload_up = payload_down
-
-    cqe = float(CQE_BYTES)
-    sender_down = np.where(is_read, payload_down, payload_down + issue_down)
-    sender_up = np.where(is_read, 0.0, cqe)
-    receiver_down = np.where(is_read, issue_down, 0.0)
-    receiver_up = np.where(
-        is_read,
-        payload_up + cqe,
-        payload_up + np.where(uses_recv, cqe, 0.0),
-    )
-
-    budget = pcie.effective_bytes_per_sec
-    down_denom = np.where(
-        bidi,
-        sender_down + receiver_down,
-        np.maximum(sender_down, receiver_down),
-    )
-    up_denom = np.where(
-        bidi, sender_up + receiver_up, np.maximum(sender_up, receiver_up)
-    )
-    cap_down = budget / np.maximum(down_denom, 1e-9)
-    cap_up = budget / np.maximum(up_denom, 1e-9)
-
-    wire_cap = rnic.line_rate_bytes_per_sec / wire_per_msg
-    pps_budget = np.where(bidi, rnic.max_pps / 2, rnic.max_pps / 1)
-    rc_ack_mult = 1.0 + 1.0 / rnic.ack_coalesce
-    pkt_events = np.where(
-        is_rc & is_read,
-        data_pkts + 1.0,
-        np.where(is_rc, data_pkts * rc_ack_mult, data_pkts),
-    )
-    pps_cap = pps_budget / pkt_events
-
-    payload_floor = np.maximum(payload, 1.0)
-    src_dma = extra["_src_bw"] * 1e9 / 8 / payload_floor
-    dst_dma = extra["_dst_bw"] * 1e9 / 8 / payload_floor
-
-    receiver_pcie_cap = np.minimum(cap_down, cap_up)
-    sender_pcie_cap = np.where(is_read, cap_down, receiver_pcie_cap)
-
-    def direction(tx_dma, rx_dma):
-        injection = (
-            np.minimum(
-                np.minimum(np.minimum(wire_cap, pps_cap), sender_pcie_cap),
-                tx_dma,
-            )
-            * tx_factor
-            * duty
-        )
-        service = (
-            np.minimum(
-                np.minimum(np.minimum(pps_cap, receiver_pcie_cap), rx_dma),
-                wire_cap,
-            )
-            * rx_factor
-        )
-        achieved = np.minimum(injection, service)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            starved = 1.0 - service / injection
-        pause = np.where(
-            injection <= 0.0,
-            0.0,
-            np.where(
-                service >= injection,
-                0.0,
-                np.where(service <= 0.0, 1.0, starved),
-            ),
-        )
-        return {
-            "achieved": achieved,
-            "injection": injection,
-            "payload": achieved * payload,
-            "wire": achieved * wire_per_msg,
-            "packets": achieved * pkt_events,
-            "pause": pause,
-        }
-
-    fwd = direction(src_dma, dst_dma)
-    rev = direction(dst_dma, src_dma)  # only consumed where bidi
-
-    # -- counter synthesis (mirrors _ideal_counters) --------------------------
-    msgs_total = fwd["achieved"] + np.where(bidi, rev["achieved"], 0.0)
-    pkts_total = fwd["packets"] + np.where(bidi, rev["packets"], 0.0)
-    bytes_total = fwd["payload"] + np.where(bidi, rev["payload"], 0.0)
-    pause_ratio = np.where(
-        bidi, np.maximum(fwd["pause"], rev["pause"]), fwd["pause"]
-    )
-
-    pinning = 1.0 + np.minimum(data_pkts, 8.0) / 4.0
-    total_recv = columns["num_qps"] * columns["wq_depth"]
-    rx_wqe = np.where(
-        uses_recv,
+    # Diagnostic counters: a smooth pressure term (the gradient the
+    # search climbs) plus the realised miss/stall events.
+    #
+    # Multi-packet SENDs pin their receive WQE across all packets of the
+    # message, so mid-size messages at small MTU stress the cache harder
+    # than single-packet ones.
+    pinning = 1.0 + ops.minimum(data_pkts, 8.0) / 4.0
+    rx_wqe = ops.where(
+        w.uses_recv_wqes,
         (
-            np.minimum(
-                1.0,
-                columns["rxq_capacity_miss"] + columns["rxq_burst_miss"],
+            ops.minimum(
+                1.0, features["rxq_capacity_miss"] + features["rxq_burst_miss"]
             )
-            + 0.3 * _pressure_column(total_recv, rxq.total_entries, n)
+            + 0.3 * pressure_score(
+                w.total_outstanding_recv_wqes, rxq.total_entries
+            )
             + 0.2
-            * _pressure_column(
-                columns["wq_depth"], max(rxq.per_qp_entries, 1), n
-            )
-            * (wqe_batch / (wqe_batch + rxq.prefetch_window))
-        )
-        * msgs_total
-        * pinning,
+            * pressure_score(w.wq_depth, max(rxq.per_qp_entries, 1))
+            * (w.wqe_batch / (w.wqe_batch + rxq.prefetch_window))
+        ) * msgs_total * pinning,
         0.0,
     )
 
+    # Context-switch intensity: shallow work queues and unbatched
+    # posting force the scheduler to rotate across QPs per request,
+    # touching a different QPC each time; deep per-QP bursts keep the
+    # context hot.
     switch_intensity = (
-        32.0 / (32.0 + columns["wq_depth"]) + 2.0 / (2.0 + wqe_batch)
+        32.0 / (32.0 + w.wq_depth) + 2.0 / (2.0 + w.wqe_batch)
     )
     qpc = (
-        columns["qpc_miss"]
-        + 0.3
-        * _pressure_column(columns["total_qps"], rnic.qpc_cache_entries, n)
+        features["qpc_miss"]
+        + 0.3 * pressure_score(features["total_qps"], rnic.qpc_cache_entries)
     ) * msgs_total * switch_intensity
     mtt = (
-        columns["mtt_miss"]
-        + 0.3
-        * _pressure_column(columns["total_mrs"], rnic.mtt_cache_entries, n)
+        features["mtt_miss"]
+        + 0.3 * pressure_score(w.total_mrs, rnic.mtt_cache_entries)
     ) * msgs_total
 
-    mix = columns["small_frac"] * columns["large_frac"] * 4.0
+    mix = features["small_frac"] * features["large_frac"] * 4.0
     ordering = (
-        columns["strict_ordering"]
-        * (0.3 + 0.7 * columns["bidirectional"])
-        * np.minimum(1.0, columns["sge_per_wqe"] / 3.0)
-        * (0.3 + 0.7 * columns["sg_entry_mix"])
+        features["strict_ordering"]
+        * (0.3 + 0.7 * features["bidirectional"])
+        * ops.minimum(1.0, w.sge_per_wqe / 3.0)
+        * (0.3 + 0.7 * features["sg_entry_mix"])
         * (mix + 0.05)
         * pkts_total
         * 0.1
     )
 
     cross_socket = (
-        columns["crosses_socket"]
-        * (1.0 + columns["bidirectional"])
-        * (1.0 + columns["weak_cross_socket"])
+        features["crosses_socket"]
+        * (1.0 + features["bidirectional"])
+        * (1.0 + features["weak_cross_socket"])
         * bytes_total
         * 1e-5
     )
 
-    incast = columns["loopback"] * msgs_total * (
+    incast = features["loopback"] * msgs_total * (
         0.5 if not rnic.loopback_rate_limited else 0.1
     )
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        over_fwd = np.where(
-            fwd["achieved"] > 0,
-            fwd["injection"] / fwd["achieved"] - 1.0,
-            0.0,
+    def overload_of(d):
+        achieved = d.achieved_msgs_per_sec
+        safe = ops.where(achieved > 0, achieved, 1.0)
+        return ops.where(
+            achieved > 0, d.injection_msgs_per_sec / safe - 1.0, 0.0
         )
-        over_rev = np.where(
-            rev["achieved"] > 0,
-            rev["injection"] / rev["achieved"] - 1.0,
-            0.0,
-        )
-    overload = np.maximum(
-        0.0, np.where(bidi, np.maximum(over_fwd, over_rev), over_fwd)
+
+    overload = ops.maximum(
+        0.0,
+        ops.where(
+            bidi,
+            ops.maximum(overload_of(fwd), overload_of(rev)),
+            overload_of(fwd),
+        ),
     )
     read_pressure = (
-        np.where(is_read, 1.0, 0.0)
-        * np.minimum(1.0, data_pkts / 16.0)
-        * (1024.0 / columns["mtu"])
+        ops.where(is_read, 1.0, 0.0)
+        * ops.minimum(1.0, data_pkts / 16.0)
+        * (1024.0 / w.mtu)
     )
-    rc_ack_load = np.where(is_rc, 1.5, 1.0)
+    # Short-request storms pressure the shared (not fully
+    # bidirectional) packet processor from both sides at once; RC's
+    # packet-level ACKs add processing events per request, and the
+    # storm only blocks anything when long messages are present.
+    rc_ack_load = ops.where(w.qp_type == QPType.RC, 1.5, 1.0)
     short_pressure = (
-        _pressure_column(
-            columns["short_req_outstanding"]
-            * (1.0 + columns["bidirectional"])
+        pressure_score(
+            features["short_req_outstanding"]
+            * (1.0 + features["bidirectional"])
             * rc_ack_load,
+            # Knee past the quirk threshold so the gradient survives
+            # through the whole approach to the trigger region.
             4 * 12288,
-            n,
         )
-        * (0.4 + 0.6 * np.minimum(1.0, 4.0 * columns["large_frac"]))
+        * (0.4 + 0.6 * ops.minimum(1.0, 4.0 * features["large_frac"]))
         * rc_ack_load
     )
     rx_buffer = (
         pause_ratio * 10.0
-        + np.minimum(overload, 10.0)
+        + ops.minimum(overload, 10.0)
         + 0.5 * short_pressure
         + 0.3 * read_pressure
     ) * 1e4
 
+    # WQE-fetch pressure doubles for bidirectional traffic (both NICs
+    # fetch) and grows for READ (response-tracking state per WQE).
     wqe_pressure_bytes = (
-        columns["wqe_outstanding_bytes"]
-        * (1.0 + columns["bidirectional"])
-        * np.where(is_read, 1.5, 1.0)
+        features["wqe_outstanding_bytes"]
+        * (1.0 + features["bidirectional"])
+        * ops.where(is_read, 1.5, 1.0)
     )
     tx_wqe_fetch = (
-        _pressure_column(wqe_pressure_bytes, 256 * 1024, n)
-        + 0.2 * np.minimum(1.0, columns["sge_per_wqe"] / 4.0)
+        pressure_score(wqe_pressure_bytes, 256 * 1024)
+        + 0.2 * ops.minimum(1.0, w.sge_per_wqe / 4.0)
     ) * msgs_total * 0.1
 
-    down_util = np.minimum(1.0, bytes_total / pcie.effective_bytes_per_sec)
-    # Python pow: scalar ``u ** 2`` is not always the same float as a
-    # multiply, so this one term stays per point.
-    backpressure = [(u ** 2) * 5e3 for u in down_util.tolist()]
+    down_util = ops.minimum(
+        1.0, bytes_total / subsystem.pcie.effective_bytes_per_sec
+    )
+    backpressure = ops.apply(_squared, down_util) * 5e3
 
-    # -- per-point materialization --------------------------------------------
-    feature_dicts = materialize_features(columns, n)
-    fired_lists = materialize_fired(rule_rows, n)
-
-    bidi_list = bidi.tolist()
-    col = {
-        "fwd_achieved": fwd["achieved"].tolist(),
-        "fwd_injection": fwd["injection"].tolist(),
-        "fwd_payload": fwd["payload"].tolist(),
-        "fwd_wire": fwd["wire"].tolist(),
-        "fwd_packets": fwd["packets"].tolist(),
-        "fwd_pause": fwd["pause"].tolist(),
-        "rev_achieved": rev["achieved"].tolist(),
-        "rev_injection": rev["injection"].tolist(),
-        "rev_payload": rev["payload"].tolist(),
-        "rev_wire": rev["wire"].tolist(),
-        "rev_packets": rev["packets"].tolist(),
-        "rev_pause": rev["pause"].tolist(),
-        "pause_us": (pause_ratio * 1e6).tolist(),
-        "msgs_total": msgs_total.tolist(),
-        "rx_wqe": rx_wqe.tolist(),
-        "qpc": qpc.tolist(),
-        "mtt": mtt.tolist(),
-        "ordering": ordering.tolist(),
-        "cross_socket": cross_socket.tolist(),
-        "incast": incast.tolist(),
-        "rx_buffer": rx_buffer.tolist(),
-        "tx_wqe_fetch": tx_wqe_fetch.tolist(),
-    }
-
-    solves = []
-    for i in range(n):
-        directions = [
-            DirectionRates(
-                name="fwd",
-                achieved_msgs_per_sec=col["fwd_achieved"][i],
-                injection_msgs_per_sec=col["fwd_injection"][i],
-                payload_bytes_per_sec=col["fwd_payload"][i],
-                wire_bytes_per_sec=col["fwd_wire"][i],
-                packets_per_sec=col["fwd_packets"][i],
-                pause_ratio=col["fwd_pause"][i],
-            )
-        ]
-        two_sided = bidi_list[i]
-        if two_sided:
-            directions.append(
-                DirectionRates(
-                    name="rev",
-                    achieved_msgs_per_sec=col["rev_achieved"][i],
-                    injection_msgs_per_sec=col["rev_injection"][i],
-                    payload_bytes_per_sec=col["rev_payload"][i],
-                    wire_bytes_per_sec=col["rev_wire"][i],
-                    packets_per_sec=col["rev_packets"][i],
-                    pause_ratio=col["rev_pause"][i],
-                )
-            )
-        counters = {
-            "tx_bytes_per_sec": col["fwd_wire"][i],
-            "rx_bytes_per_sec": col["rev_wire"][i] if two_sided else 0.0,
-            "tx_packets_per_sec": col["fwd_packets"][i],
-            "rx_packets_per_sec": col["rev_packets"][i] if two_sided else 0.0,
-            "pause_duration_us_per_sec": col["pause_us"][i],
-            "rx_wqe_cache_miss": col["rx_wqe"][i],
-            "qpc_cache_miss": col["qpc"][i],
-            "mtt_cache_miss": col["mtt"][i],
-            "pcie_ordering_stall": col["ordering"][i],
-            "cross_socket_pressure": col["cross_socket"][i],
-            "internal_incast_events": col["incast"][i],
-            "rx_buffer_full_events": col["rx_buffer"][i],
-            "tx_wqe_fetch_stall": col["tx_wqe_fetch"][i],
-            "pcie_internal_backpressure": backpressure[i],
+    counters.update(
+        {
+            "rx_wqe_cache_miss": rx_wqe,
+            "qpc_cache_miss": qpc,
+            "mtt_cache_miss": mtt,
+            "pcie_ordering_stall": ordering,
+            "cross_socket_pressure": cross_socket,
+            "internal_incast_events": incast,
+            "rx_buffer_full_events": rx_buffer,
+            "tx_wqe_fetch_stall": tx_wqe_fetch,
+            "pcie_internal_backpressure": backpressure,
         }
-        fired = fired_lists[i]
-        for fired_rule in fired:
-            spike = (
-                (1.0 - fired_rule.factor)
-                * max(col["msgs_total"][i], 1.0)
-                * 2.0
-            )
-            counters[fired_rule.rule.counter] = (
-                counters.get(fired_rule.rule.counter, 0.0) + spike
-            )
-        solves.append(
-            CachedSolve(
-                directions=tuple(directions),
-                fired=tuple(fired),
-                features=feature_dicts[i],
-                ideal_counters=counters,
-            )
+    )
+
+    # A fired quirk drives its designated counter to an extreme region
+    # (paper §7.2: "most anomalies are found when the diagnostic
+    # counter value is high").
+    for rule, mask, factor in rows:
+        spike = (1.0 - factor) * ops.maximum(msgs_total, 1.0) * 2.0
+        counters[rule.counter] = counters.get(rule.counter, 0.0) + ops.where(
+            mask, spike, 0.0
         )
-    return solves
+    return counters
+
+
+def assemble_solves(
+    w: WorkloadDescriptor,
+    features: dict,
+    rows: list,
+    directions: tuple[DirectionRates, ...],
+    counters: dict,
+    ops=SCALAR,
+) -> list:
+    """Per-point :class:`CachedSolve` records.
+
+    A unidirectional point keeps only its ``fwd`` direction; fired rules
+    are listed in table order.
+    """
+    fwd = ops.records(directions[0])
+    rev = ops.records(directions[1]) if len(directions) > 1 else fwd
+    two_sided = ops.records(w.is_bidirectional)
+    fired: list = [[] for _ in two_sided]
+    for rule, mask, factor in rows:
+        hits = zip(fired, ops.records(mask), ops.records(factor))
+        for point, hit, value in hits:
+            if hit:
+                point.append(FiredRule(rule=rule, factor=value))
+    return [
+        CachedSolve(
+            directions=(f, r) if both else (f,),
+            fired=tuple(point),
+            features=point_features,
+            ideal_counters=point_counters,
+        )
+        for f, r, both, point, point_features, point_counters in zip(
+            fwd,
+            rev,
+            two_sided,
+            fired,
+            ops.records(features),
+            ops.records(counters),
+        )
+    ]

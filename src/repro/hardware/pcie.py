@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.hardware.ops import SCALAR
+
 #: Per-generation raw signalling rate per lane in GT/s and encoding
 #: efficiency (gen1/2 use 8b/10b, gen3+ 128b/130b).
 _GEN_GTS = {1: 2.5, 2: 5.0, 3: 8.0, 4: 16.0, 5: 32.0}
@@ -69,15 +71,15 @@ class PCIeLink:
         """DMA read round trip in microseconds (latency-model unit)."""
         return self.read_latency_ns / 1e3
 
-    def transfer_bytes(self, payload_bytes: int) -> int:
+    def transfer_bytes(self, payload_bytes: int, ops=SCALAR) -> int:
         """Bytes on the link to move ``payload_bytes`` of DMA payload.
 
         Payload is split into max-payload-sized TLPs, each with its header.
         """
-        if payload_bytes <= 0:
-            return 0
         tlps = -(-payload_bytes // self.max_payload_bytes)
-        return payload_bytes + tlps * TLP_HEADER_BYTES
+        return ops.where(
+            payload_bytes <= 0, 0, payload_bytes + tlps * TLP_HEADER_BYTES
+        )
 
     def transfer_us(self, payload_bytes: int) -> float:
         """Microseconds to move one DMA payload at the effective rate."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.hardware.ops import SCALAR
+
 #: The paper's anomaly threshold: transmission paused more than 0.1% of
 #: wall time on an uncongested network.
 PAUSE_RATIO_THRESHOLD = 0.001
@@ -26,22 +28,29 @@ PAUSE_FRAME_BYTES = 64
 QUANTA_BITS = 512
 
 
-def steady_state_pause_ratio(arrival_rate: float, service_rate: float) -> float:
+def steady_state_pause_ratio(
+    arrival_rate: float, service_rate: float, ops=SCALAR
+) -> float:
     """Fraction of time the receiver keeps the sender paused.
 
     With a finite lossless ingress buffer, a receiver that drains at
     ``service_rate`` while traffic arrives at ``arrival_rate`` must pause
     the link for exactly the excess fraction in steady state:
     ``1 - service/arrival`` (clamped to [0, 1)).  Below capacity, no
-    pauses are needed.
+    pauses are needed.  The rates may be columns
+    (``ops``, :mod:`repro.hardware.ops`).
     """
-    if arrival_rate <= 0:
-        return 0.0
-    if service_rate >= arrival_rate:
-        return 0.0
-    if service_rate <= 0:
-        return 1.0
-    return 1.0 - service_rate / arrival_rate
+    safe = ops.where(arrival_rate > 0, arrival_rate, 1.0)
+    starved = 1.0 - service_rate / safe
+    return ops.where(
+        arrival_rate <= 0,
+        0.0,
+        ops.where(
+            service_rate >= arrival_rate,
+            0.0,
+            ops.where(service_rate <= 0, 1.0, starved),
+        ),
+    )
 
 
 def pause_stall_us(pause_ratio: float, per_wr_us: float) -> float:

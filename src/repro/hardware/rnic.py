@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.hardware.ops import SCALAR
 from repro.hardware.rules import AnomalyRule, LatencyRule
 
 #: Traversal latency of one packet-engine pipeline stage, nanoseconds.
@@ -42,17 +43,21 @@ class RxWqeCacheSpec:
     per_qp_entries: int
     prefetch_window: int
 
-    def capacity_miss(self, outstanding: int) -> float:
+    def capacity_miss(self, outstanding: int, ops=SCALAR) -> float:
         """Steady-state miss fraction of the capacity path."""
-        if outstanding <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.total_entries / outstanding)
+        posted = outstanding > 0
+        safe = ops.where(posted, outstanding, 1)
+        return ops.where(
+            posted, ops.maximum(0.0, 1.0 - self.total_entries / safe), 0.0
+        )
 
-    def burst_miss(self, wq_depth: int, batch: int) -> float:
+    def burst_miss(self, wq_depth: int, batch: int, ops=SCALAR) -> float:
         """Miss fraction of the burst path (0 while the WQ fits the cache)."""
-        if wq_depth <= self.per_qp_entries or batch <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.prefetch_window / batch)
+        overrun = ops.and_(wq_depth > self.per_qp_entries, batch > 0)
+        safe = ops.where(batch > 0, batch, 1)
+        return ops.where(
+            overrun, ops.maximum(0.0, 1.0 - self.prefetch_window / safe), 0.0
+        )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Mapping, Optional, Union
 
-import numpy as np
+from repro.hardware.ops import SCALAR
 
 FeatureValue = Union[float, str]
 
@@ -51,21 +51,35 @@ class Gate:
                     f"gate bound on {feature!r} is empty: ({low}, {high})"
                 )
 
-    def matches(self, features: Mapping[str, FeatureValue]) -> bool:
-        """Whether a feature vector satisfies every condition."""
+    def matches(
+        self, features: Mapping[str, FeatureValue], ops=SCALAR
+    ) -> bool:
+        """Whether a feature vector satisfies every condition.
+
+        With column features (``ops``, :mod:`repro.hardware.ops`) the
+        answer is a per-point mask; either way the evaluation stops as
+        soon as no point can match.
+        """
+        and_, any_ = ops.and_, ops.any
+        mask = True
+        for feature, accepted in self.isin.items():
+            value = features.get(feature)
+            if value is None:
+                return False
+            mask = and_(mask, ops.isin(value, accepted))
+            if not any_(mask):
+                return mask
         for feature, (low, high) in self.bounds.items():
             value = features.get(feature)
             if value is None:
                 return False
-            value = float(value)
-            if low is not None and value < low:
-                return False
-            if high is not None and value > high:
-                return False
-        for feature, accepted in self.isin.items():
-            if features.get(feature) not in accepted:
-                return False
-        return True
+            if low is not None:
+                mask = and_(mask, value >= low)
+            if high is not None:
+                mask = and_(mask, value <= high)
+            if not any_(mask):
+                return mask
+        return mask
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,15 +118,21 @@ class AnomalyRule:
         """Table 2 symptom column for this rule."""
         return "pause frame" if self.side == "rx" else "low throughput"
 
-    def matches(self, features: Mapping[str, FeatureValue]) -> bool:
-        return self.gate.matches(features)
+    def matches(
+        self, features: Mapping[str, FeatureValue], ops=SCALAR
+    ) -> bool:
+        return self.gate.matches(features, ops)
 
-    def effect_factor(self, features: Mapping[str, FeatureValue]) -> float:
+    def effect_factor(
+        self, features: Mapping[str, FeatureValue], ops=SCALAR
+    ) -> float:
         """Capacity multiplier when the gate matches."""
         if self.scale_feature is None:
             return self.factor
-        value = float(features.get(self.scale_feature, 0.0))
-        return max(self.floor, min(1.0, 1.0 - self.scale_coeff * value))
+        value = features.get(self.scale_feature, 0.0)
+        return ops.maximum(
+            self.floor, ops.minimum(1.0, 1.0 - self.scale_coeff * value)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,92 +207,30 @@ class FiredRule:
         return self.rule.tag
 
 
+def gate_rules(
+    rules: tuple[AnomalyRule, ...],
+    features: Mapping[str, FeatureValue],
+    ops=SCALAR,
+) -> list[tuple[AnomalyRule, object, object]]:
+    """Gate a rule table: ``(rule, mask, factor)`` per rule that fired.
+
+    Rows come in table order, so multiplying their factors reproduces
+    the fired list's products exactly; with column features a row is
+    kept when the rule fired for at least one point.
+    """
+    rows = []
+    for rule in rules:
+        mask = rule.matches(features, ops)
+        if ops.any(mask):
+            rows.append((rule, mask, rule.effect_factor(features, ops)))
+    return rows
+
+
 def fired_rules(
     rules: tuple[AnomalyRule, ...], features: Mapping[str, FeatureValue]
 ) -> list[FiredRule]:
     """Evaluate a rule table against a feature vector."""
-    fired = []
-    for rule in rules:
-        if rule.matches(features):
-            fired.append(FiredRule(rule=rule, factor=rule.effect_factor(features)))
-    return fired
-
-
-# -- batched (column-wise) gating ---------------------------------------------
-
-
-def gate_mask(gate: Gate, columns: Mapping, n: int) -> np.ndarray:
-    """Vector :meth:`Gate.matches` over a feature-column matrix."""
-    mask = np.ones(n, dtype=bool)
-    for feature, (low, high) in gate.bounds.items():
-        col = columns.get(feature)
-        if col is None:
-            return np.zeros(n, dtype=bool)
-        if isinstance(col, list):
-            col = np.asarray(col, dtype=np.float64)
-        if low is not None:
-            mask &= col >= low
-        if high is not None:
-            mask &= col <= high
-    for feature, accepted in gate.isin.items():
-        col = columns.get(feature)
-        if col is None:
-            return np.zeros(n, dtype=bool)
-        values = col if isinstance(col, list) else col.tolist()
-        mask &= np.fromiter(
-            (value in accepted for value in values), dtype=bool, count=n
-        )
-    return mask
-
-
-def _factor_column(rule: AnomalyRule, columns: Mapping, n: int) -> np.ndarray:
-    """Vector :meth:`AnomalyRule.effect_factor`."""
-    if rule.scale_feature is None:
-        return np.full(n, rule.factor)
-    col = columns.get(rule.scale_feature)
-    if col is None:
-        col = np.zeros(n)
-    elif isinstance(col, list):
-        col = np.asarray(col, dtype=np.float64)
-    return np.maximum(
-        rule.floor, np.minimum(1.0, 1.0 - rule.scale_coeff * col)
-    )
-
-
-def batch_fired_rules(
-    rules: tuple[AnomalyRule, ...], columns: Mapping, n: int
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """Evaluate a rule table column-wise over ``n`` points.
-
-    Returns ``(rows, tx_factor, rx_factor)``: ``rows`` holds one
-    ``(rule, mask, factors)`` triple per table entry in table order
-    (``factors`` is ``None`` when the rule fired nowhere) and the factor
-    arrays are per-point products of fired factors by side — multiplied
-    in table order, so they match ``math.prod`` over the scalar fired
-    list bit-for-bit.
-    """
-    rows = []
-    tx_factor = np.ones(n)
-    rx_factor = np.ones(n)
-    for rule in rules:
-        mask = gate_mask(rule.gate, columns, n)
-        if not mask.any():
-            rows.append((rule, mask, None))
-            continue
-        factors = _factor_column(rule, columns, n)
-        rows.append((rule, mask, factors))
-        target = tx_factor if rule.side == "tx" else rx_factor
-        np.multiply(target, np.where(mask, factors, 1.0), out=target)
-    return rows, tx_factor, rx_factor
-
-
-def materialize_fired(rows: list, n: int) -> list[list[FiredRule]]:
-    """Per-point fired-rule lists (table order) from batch gate rows."""
-    fired: list[list[FiredRule]] = [[] for _ in range(n)]
-    for rule, mask, factors in rows:
-        if factors is None:
-            continue
-        values = factors.tolist()
-        for index in np.nonzero(mask)[0].tolist():
-            fired[index].append(FiredRule(rule=rule, factor=values[index]))
-    return fired
+    return [
+        FiredRule(rule=rule, factor=factor)
+        for rule, _, factor in gate_rules(rules, features)
+    ]

@@ -154,9 +154,9 @@ class WorkloadDescriptor:
     def packets_per_message(self, size: Optional[int] = None) -> float:
         """Wire packets for one message (averaged over the pattern)."""
         if size is not None:
-            return max(1, math.ceil(size / self.mtu))
+            return packets_for(size, self.mtu)
         return sum(
-            max(1, math.ceil(s / self.mtu)) for s in self.msg_sizes_bytes
+            packets_for(s, self.mtu) for s in self.msg_sizes_bytes
         ) / len(self.msg_sizes_bytes)
 
     # -- derived verbs-level quantities ------------------------------------
@@ -219,6 +219,11 @@ class WorkloadDescriptor:
             f"mrs={self.mrs_per_qp}x{_human_bytes(self.mr_bytes)} "
             f"{self.src_device}->{self.dst_device} {self.colocation.value}"
         )
+
+
+def packets_for(size: int, mtu: int) -> int:
+    """Wire packets of one ``size``-byte message at path MTU ``mtu``."""
+    return max(1, math.ceil(size / mtu))
 
 
 def _human_bytes(size: int) -> str:

@@ -14,6 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.baselines.perftest
+import repro.baselines.random_search
+import repro.core.collie
 from repro.analysis.serialize import mfs_to_dict, workload_to_dict
 from repro.baselines.perftest import PerftestGenerator
 from repro.baselines.random_search import RandomSearch
@@ -24,6 +27,7 @@ from repro.core.batcheval import BatchEvaluator
 from repro.core.mfs import MFSExtractor
 from repro.core.monitor import AnomalyMonitor
 from repro.core.space import SearchSpace
+from repro.hardware.coexist import CoRunModel
 from repro.hardware.model import SteadyStateModel, solve_batch
 from repro.hardware.subsystems import get_subsystem
 from repro.obs.metrics import MetricsRegistry
@@ -42,6 +46,62 @@ def random_points(letter, seed, count):
     points = [space.random(rng) for _ in range(count)]
     # Repeat a prefix so the batch always contains exact duplicates.
     return points + points[: max(1, count // 3)]
+
+
+class ScalarTestbed(Testbed):
+    """Reference testbed: every experiment through the one-point solve.
+
+    ``run_many`` is the scalar loop and ``presolve`` does nothing, so a
+    search built on it never touches the batched engine.
+    """
+
+    __test__ = False
+
+    def run_many(self, workloads, rng=None, phase="search"):
+        return [self.run(w, rng=rng, phase=phase) for w in workloads]
+
+    def presolve(self, workloads, phase="search"):
+        return 0
+
+
+def scalar_reference(monkeypatch, build):
+    """``build()`` with every search's Testbed swapped for ScalarTestbed."""
+    with monkeypatch.context() as patch:
+        for module in (
+            repro.baselines.perftest,
+            repro.baselines.random_search,
+            repro.core.collie,
+        ):
+            patch.setattr(module, "Testbed", ScalarTestbed)
+        return build()
+
+
+def assert_solves_equal(left, right):
+    """Field-by-field CachedSolve identity (key order and types too)."""
+    assert left.directions == right.directions
+    assert left.fired == right.fired
+    assert list(left.features.items()) == list(right.features.items())
+    assert [type(v) for v in left.features.values()] \
+        == [type(v) for v in right.features.values()]
+    assert list(left.ideal_counters.items()) \
+        == list(right.ideal_counters.items())
+
+
+def kernel_points(letter):
+    """Appendix witnesses, their MFS ladder points and random points."""
+    subsystem = get_subsystem(letter)
+    space = SearchSpace.for_subsystem(subsystem)
+    topology = subsystem.topology
+    witnesses = [
+        s.workload for s in APPENDIX_SETTINGS
+        if topology.has_device(s.workload.src_device)
+        and topology.has_device(s.workload.dst_device)
+    ]
+    ladders = MFSExtractor(space, None)
+    points = list(witnesses)
+    for witness in witnesses:
+        points.extend(ladders._ladder_points(witness, set()))
+    return points + random_points(letter, seed=7, count=40)
 
 
 def assert_measurements_equal(left, right):
@@ -99,36 +159,30 @@ class TestEvaluateManyBitIdentity:
         assert len(cache) == len({str(workload_to_dict(p)) for p in points})
 
     def test_solve_batch_matches_scalar_solver(self):
+        """Column mode == scalar mode over witnesses, ladders, random."""
         for letter in LETTERS:
             subsystem = get_subsystem(letter)
             model = SteadyStateModel(subsystem)
-            points = random_points(letter, seed=7, count=5)
+            points = kernel_points(letter)
+            scalar = [model._solve(point, phase="search") for point in points]
             batched = solve_batch(subsystem, points)
-            for point, solve in zip(points, batched):
-                scalar = model._solve(point, phase="search")
-                assert solve.ideal_counters == scalar.ideal_counters
-                assert solve.directions == scalar.directions
-                assert solve.fired == scalar.fired
-                assert solve.features == scalar.features
+            for solve, reference in zip(batched, scalar):
+                assert_solves_equal(solve, reference)
+            # n=1 runs the scalar mode through the batch entry point.
+            for point, reference in zip(points[:12], scalar):
+                (single,) = solve_batch(subsystem, [point])
+                assert_solves_equal(single, reference)
 
-    def test_disabled_evaluator_routes_scalar(self):
-        subsystem = get_subsystem("F")
-        points = random_points("F", seed=1, count=4)
-        metrics = MetricsRegistry()
-        evaluator = BatchEvaluator(
-            SteadyStateModel(subsystem), metrics=metrics, enabled=False
-        )
-        scalar_rng = np.random.default_rng(1)
-        scalar = [
-            SteadyStateModel(subsystem).evaluate(p, scalar_rng)
-            for p in points
-        ]
-        rng = np.random.default_rng(1)
-        assert_measurements_equal(
-            scalar, evaluator.evaluate_many(points, rng=rng)
-        )
-        assert metrics.value("batcheval.points", mode="scalar") == len(points)
-        assert metrics.value("batcheval.points", mode="vectorized") == 0.0
+    def test_corun_solve_points_match_scalar_solves(self):
+        for letter in LETTERS:
+            subsystem = get_subsystem(letter)
+            points = kernel_points(letter)[:24]
+            model = CoRunModel(subsystem, victim=points[0])
+            batched = model.solve_points(points)
+            for point, solve in zip(points, batched):
+                assert_solves_equal(
+                    solve, model._solve(point, phase="search")
+                )
 
 
 class TestBulkCacheApi:
@@ -199,8 +253,8 @@ class TestMFSPresolve:
         subsystem = get_subsystem("H")
         space = SearchSpace.for_subsystem(subsystem)
         monitor = AnomalyMonitor(subsystem)
-        testbed = Testbed(
-            subsystem, clock=SimulatedClock(), cache=cache, batch=batch
+        testbed = (Testbed if batch else ScalarTestbed)(
+            subsystem, clock=SimulatedClock(), cache=cache
         )
         rng = np.random.default_rng(0)
 
@@ -244,9 +298,9 @@ class TestWiredConsumers:
     """Every batched call site against its scalar twin."""
 
     def test_perftest_sweep_batched_equals_scalar(self):
-        scalar = PerftestGenerator("C", batch=False)
-        batched = PerftestGenerator("C", batch=True)
-        found_scalar = scalar.sweep(seed=0, limit=260)
+        scalar = PerftestGenerator("C")
+        batched = PerftestGenerator("C")
+        found_scalar = scalar.sweep(seed=0, limit=260, batch_size=0)
         found_batched = batched.sweep(seed=0, limit=260, batch_size=64)
         assert found_scalar == found_batched
         assert scalar.testbed.clock.now == batched.testbed.clock.now
@@ -254,9 +308,11 @@ class TestWiredConsumers:
             scalar.testbed.experiments_run == batched.testbed.experiments_run
         )
 
-    def test_perftest_batch_size_one_is_the_scalar_path(self):
-        generator = PerftestGenerator("C", batch=True)
-        baseline = PerftestGenerator("C", batch=False)
+    def test_perftest_batch_size_one_is_the_scalar_path(self, monkeypatch):
+        generator = PerftestGenerator("C")
+        baseline = scalar_reference(
+            monkeypatch, lambda: PerftestGenerator("C")
+        )
         assert generator.sweep(seed=0, limit=40, batch_size=1) \
             == baseline.sweep(seed=0, limit=40)
 
@@ -270,9 +326,12 @@ class TestWiredConsumers:
             sorted(event.counters.items()),
         )
 
-    def test_random_search_batch_flag_is_transparent(self):
-        on = RandomSearch("F", budget_hours=0.05, seed=9, batch=True).run()
-        off = RandomSearch("F", budget_hours=0.05, seed=9, batch=False).run()
+    def test_random_search_matches_scalar_testbed(self, monkeypatch):
+        on = RandomSearch("F", budget_hours=0.05, seed=9).run()
+        off = scalar_reference(
+            monkeypatch,
+            lambda: RandomSearch("F", budget_hours=0.05, seed=9),
+        ).run()
         assert [self._event_key(e) for e in on.events] \
             == [self._event_key(e) for e in off.events]
 
@@ -280,14 +339,14 @@ class TestWiredConsumers:
         def run():
             return RandomSearch(
                 "F", budget_hours=0.05, seed=9,
-                batch=True, batch_probes=True, cache=EvalCache(),
+                batch_probes=True, cache=EvalCache(),
             ).run()
 
         first, second = run(), run()
         assert [self._event_key(e) for e in first.events] \
             == [self._event_key(e) for e in second.events]
 
-    def test_collie_batch_on_off_identical(self):
+    def test_collie_matches_scalar_testbed(self, monkeypatch):
         def report_key(report):
             return (
                 [self._event_key(e) for e in report.events],
@@ -299,10 +358,11 @@ class TestWiredConsumers:
             )
 
         on = Collie.for_subsystem(
-            "H", budget_hours=0.12, seed=3, cache=EvalCache(), batch=True
+            "H", budget_hours=0.12, seed=3, cache=EvalCache()
         ).run()
-        off = Collie.for_subsystem(
-            "H", budget_hours=0.12, seed=3, batch=False
+        off = scalar_reference(
+            monkeypatch,
+            lambda: Collie.for_subsystem("H", budget_hours=0.12, seed=3),
         ).run()
         assert report_key(on) == report_key(off)
 
@@ -310,7 +370,7 @@ class TestWiredConsumers:
         metrics = MetricsRegistry()
         testbed = Testbed(
             "F", clock=SimulatedClock(), cache=EvalCache(),
-            metrics=metrics, batch=True,
+            metrics=metrics,
         )
         space = SearchSpace.for_subsystem(testbed.subsystem)
         rng = np.random.default_rng(0)

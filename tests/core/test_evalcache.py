@@ -14,6 +14,7 @@ from repro.core.evalcache import (
     EvalCache,
     canonical_point,
     describe_stats,
+    solver_fingerprint,
     subsystem_fingerprint,
 )
 from repro.core.space import SearchSpace
@@ -193,6 +194,46 @@ class TestDiskStore:
         ))
         with pytest.raises(ValueError, match="unsupported cache format"):
             EvalCache(path=str(path))
+
+    def _stored(self, tmp_path):
+        """A saved one-entry store: (path, payload, subsystem, point)."""
+        subsystem = get_subsystem("H")
+        path = tmp_path / "cache.json"
+        cache = EvalCache(path=str(path))
+        point = random_point("H", 4)
+        SteadyStateModel(subsystem, cache=cache).evaluate(
+            point, np.random.default_rng(0)
+        )
+        cache.save()
+        return path, json.loads(path.read_text()), subsystem, point
+
+    def test_matching_solver_stamp_warm_starts(self, tmp_path, caplog):
+        path, payload, subsystem, point = self._stored(tmp_path)
+        assert payload["solver_fingerprint"] == solver_fingerprint()
+        warm = EvalCache(path=str(path))
+        assert warm.loaded_entries == 1
+        assert warm.lookup(subsystem, point) is not None
+        assert "different solver code" not in caplog.text
+
+    def test_changed_solver_stamp_starts_cold(self, tmp_path, caplog):
+        path, payload, subsystem, point = self._stored(tmp_path)
+        payload["solver_fingerprint"] = "0" * 64
+        path.write_text(json.dumps(payload))
+        with caplog.at_level("WARNING", logger="repro.core.evalcache"):
+            cold = EvalCache(path=str(path))
+        assert cold.loaded_entries == 0 and len(cold) == 0
+        assert cold.lookup(subsystem, point) is None
+        assert "different solver code" in caplog.text
+
+    def test_unstamped_store_starts_cold(self, tmp_path, caplog):
+        path, payload, subsystem, point = self._stored(tmp_path)
+        del payload["solver_fingerprint"]
+        path.write_text(json.dumps(payload))
+        with caplog.at_level("WARNING", logger="repro.core.evalcache"):
+            cold = EvalCache(path=str(path))
+        assert cold.loaded_entries == 0 and len(cold) == 0
+        assert cold.lookup(subsystem, point) is None
+        assert "different solver code" in caplog.text
 
     def test_load_stats_reads_persisted_statistics(self, tmp_path):
         path = str(tmp_path / "cache.json")
