@@ -339,10 +339,10 @@ class BayesOptSearch:
             observe(candidates[int(np.argmax(scores))])
 
     def _candidates(self) -> list[WorkloadDescriptor]:
-        out = []
-        for _ in range(CANDIDATE_POOL):
-            point = self.space.random(self.rng)
-            if self.use_mfs and match_any(self.anomalies, point) is not None:
-                continue
-            out.append(point)
-        return out
+        pool = self.space.random_many(self.rng, CANDIDATE_POOL)
+        if not self.use_mfs:
+            return pool
+        return [
+            point for point in pool
+            if match_any(self.anomalies, point) is None
+        ]

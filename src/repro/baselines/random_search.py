@@ -102,10 +102,7 @@ class RandomSearch:
         while not self.clock.expired:
             if self.batch_probes:
                 if not pending:
-                    pending = [
-                        self.space.random(self.rng)
-                        for _ in range(PROBE_CHUNK)
-                    ]
+                    pending = self.space.random_many(self.rng, PROBE_CHUNK)
                     self.testbed.presolve(pending)
                 workload = pending.pop(0)
             else:

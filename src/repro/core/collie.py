@@ -285,9 +285,7 @@ class Collie:
         signal = SearchSignal(candidates[0])
         presampled: Optional[list] = None
         if self.batch_probes:
-            presampled = [
-                self.space.random(self.rng) for _ in range(RANKING_PROBES)
-            ]
+            presampled = self.space.random_many(self.rng, RANKING_PROBES)
             self.testbed.presolve(presampled, phase="probe")
         for i in range(RANKING_PROBES):
             if self.clock.expired:

@@ -105,7 +105,12 @@ class MinimalFeatureSet:
 
     def matches(self, workload: WorkloadDescriptor) -> bool:
         """Whether a workload lies inside this anomaly's region."""
-        values = _dimension_values(workload)
+        return self._matches_values(_dimension_values(workload), workload)
+
+    def _matches_values(
+        self, values: dict, workload: WorkloadDescriptor
+    ) -> bool:
+        """:meth:`matches` against a precomputed :func:`_dimension_values`."""
         for cond in self.intervals:
             if not cond.matches(float(values[cond.dimension])):
                 return False
@@ -866,7 +871,10 @@ def match_any(
     anomaly_set: list[MinimalFeatureSet], workload: WorkloadDescriptor
 ) -> Optional[MinimalFeatureSet]:
     """MatchMFS (paper Alg. 1 line 5): first MFS covering the workload."""
+    if not anomaly_set:
+        return None
+    values = _dimension_values(workload)
     for mfs in anomaly_set:
-        if mfs.matches(workload):
+        if mfs._matches_values(values, workload):
             return mfs
     return None

@@ -90,6 +90,14 @@ _ORDERED_CHOICES = {
     "mr_bytes": MR_BYTES_CHOICES,
 }
 
+#: The scalar dimensions :meth:`SearchSpace.random_many` draws, in draw
+#: order; the request vector's sizes follow them.
+_SAMPLED_DIMENSIONS = (
+    "qp_type", "opcode", "direction", "colocation", "sg_layout",
+    "src_device", "dst_device", "mtu", "num_qps", "wqe_batch",
+    "sge_per_wqe", "wq_depth", "mrs_per_qp", "mr_bytes", "duty_cycle",
+)
+
 
 @dataclasses.dataclass(frozen=True)
 class SearchSpace:
@@ -242,29 +250,63 @@ class SearchSpace:
 
     def random(self, rng: np.random.Generator) -> WorkloadDescriptor:
         """Uniform random point, coerced to verbs legality."""
-        choice = rng.choice
-        raw = {
-            "qp_type": self.qp_types[choice(len(self.qp_types))],
-            "opcode": self.opcodes[choice(len(self.opcodes))],
-            "direction": self.directions[choice(len(self.directions))],
-            "colocation": self.colocations[choice(len(self.colocations))],
-            "sg_layout": self.sg_layouts[choice(len(self.sg_layouts))],
-            "src_device": self.memory_devices[choice(len(self.memory_devices))],
-            "dst_device": self.memory_devices[choice(len(self.memory_devices))],
-            "mtu": int(choice(self.mtus)),
-            "num_qps": int(choice(self.qps_choices)),
-            "wqe_batch": int(choice(self.batch_choices)),
-            "sge_per_wqe": int(choice(self.sge_choices)),
-            "wq_depth": int(choice(self.wq_depth_choices)),
-            "mrs_per_qp": int(choice(self.mrs_per_qp_choices)),
-            "mr_bytes": int(choice(self.mr_bytes_choices)),
-            "duty_cycle": float(choice(self.duty_cycles)),
-            "msg_sizes_bytes": tuple(
-                int(choice(self.msg_size_choices))
-                for _ in range(self.pattern_length)
-            ),
-        }
-        return self.coerce(raw)
+        return self.random_many(rng, 1)[0]
+
+    def random_many(
+        self, rng: np.random.Generator, n: int
+    ) -> list[WorkloadDescriptor]:
+        """``n`` uniform random points, each coerced to verbs legality.
+
+        One ``rng.integers`` call draws every ladder index of every
+        point, point by point and dimension by dimension in
+        :attr:`_sampling_ladders` order.  That reads the generator
+        exactly as one ``rng.choice`` per dimension per point would, so
+        the points and the generator state afterwards equal ``n``
+        sequential :meth:`random` calls (``tests/core/test_space.py``
+        pins this against a sequential reference).
+        """
+        ladders, highs = self._sampling_ladders
+        width = len(ladders)
+        indices = rng.integers(0, np.tile(highs, n)).tolist()
+        head = len(_SAMPLED_DIMENSIONS)
+        points = []
+        for start in range(0, n * width, width):
+            picked = [
+                ladder[index]
+                for ladder, index in zip(ladders, indices[start:start + width])
+            ]
+            raw = dict(zip(_SAMPLED_DIMENSIONS, picked))
+            raw["msg_sizes_bytes"] = tuple(picked[head:])
+            points.append(self.coerce(raw))
+        return points
+
+    @functools.cached_property
+    def _sampling_ladders(self) -> tuple[tuple[tuple, ...], np.ndarray]:
+        """Every sampled ladder in draw order, and their lengths.
+
+        The dimensions of :data:`_SAMPLED_DIMENSIONS`, then
+        ``pattern_length`` copies of the message-size ladder.
+        """
+        ladders = (
+            self.qp_types,
+            self.opcodes,
+            self.directions,
+            self.colocations,
+            self.sg_layouts,
+            self.memory_devices,
+            self.memory_devices,
+            tuple(int(v) for v in self.mtus),
+            tuple(int(v) for v in self.qps_choices),
+            tuple(int(v) for v in self.batch_choices),
+            tuple(int(v) for v in self.sge_choices),
+            tuple(int(v) for v in self.wq_depth_choices),
+            tuple(int(v) for v in self.mrs_per_qp_choices),
+            tuple(int(v) for v in self.mr_bytes_choices),
+            tuple(float(v) for v in self.duty_cycles),
+        )
+        sizes = tuple(int(v) for v in self.msg_size_choices)
+        ladders += (sizes,) * self.pattern_length
+        return ladders, np.array([len(ladder) for ladder in ladders])
 
     def mutate(
         self, workload: WorkloadDescriptor, rng: np.random.Generator

@@ -128,3 +128,35 @@ class TestSearchLoop:
         ).run()
         assert report.name == "bayesopt-nomfs"
         assert all(e.kind != "mfs" for e in report.events)
+
+
+#: (use_mfs, seed) -> (experiments, first_hit_times()) of a 0.5 h run on F,
+#: recorded with the per-point sequential sampler that ``random_many``
+#: replaced.  Any change to how BO draws candidates shows up here.
+PINNED_RUNS = {
+    (True, 1): (75, {"A12": 20.0352, "A13": 20.0352}),
+    (True, 2): (83, {
+        "A13": 48.870400000000004, "A12": 460.4144000000002,
+        "A11": 1139.8250000000003, "A9": 1139.8250000000003,
+    }),
+    (False, 1): (64, {
+        "A12": 20.0352, "A13": 20.0352, "A11": 40.3936, "A9": 40.3936,
+        "A2": 213.8408, "A1": 516.7536, "A3": 1525.0236,
+    }),
+    (False, 2): (63, {
+        "A13": 48.870400000000004, "A1": 263.54080000000005,
+        "A11": 345.2112000000001, "A9": 345.2112000000001,
+        "A2": 423.3464000000001, "A12": 483.9168000000001,
+    }),
+}
+
+
+class TestPinnedBehaviour:
+    @pytest.mark.parametrize("use_mfs, seed", sorted(PINNED_RUNS))
+    def test_runs_match_recorded_constants(self, use_mfs, seed):
+        report = BayesOptSearch(
+            "F", budget_hours=0.5, seed=seed, use_mfs=use_mfs
+        ).run()
+        experiments, hits = PINNED_RUNS[(use_mfs, seed)]
+        assert report.experiments == experiments
+        assert report.first_hit_times() == hits

@@ -75,6 +75,92 @@ class TestRandomSampling:
             assert restricted.random(rng).qp_type is QPType.RC
 
 
+def sequential_random(space, rng):
+    """The reference sampler: one ``rng.choice`` per dimension, in order.
+
+    A frozen copy of the per-point sampler ``random_many`` replaced;
+    the batched draw must read the generator exactly like this.
+    """
+    choice = rng.choice
+    raw = {
+        "qp_type": space.qp_types[choice(len(space.qp_types))],
+        "opcode": space.opcodes[choice(len(space.opcodes))],
+        "direction": space.directions[choice(len(space.directions))],
+        "colocation": space.colocations[choice(len(space.colocations))],
+        "sg_layout": space.sg_layouts[choice(len(space.sg_layouts))],
+        "src_device": space.memory_devices[choice(len(space.memory_devices))],
+        "dst_device": space.memory_devices[choice(len(space.memory_devices))],
+        "mtu": int(choice(space.mtus)),
+        "num_qps": int(choice(space.qps_choices)),
+        "wqe_batch": int(choice(space.batch_choices)),
+        "sge_per_wqe": int(choice(space.sge_choices)),
+        "wq_depth": int(choice(space.wq_depth_choices)),
+        "mrs_per_qp": int(choice(space.mrs_per_qp_choices)),
+        "mr_bytes": int(choice(space.mr_bytes_choices)),
+        "duty_cycle": float(choice(space.duty_cycles)),
+        "msg_sizes_bytes": tuple(
+            int(choice(space.msg_size_choices))
+            for _ in range(space.pattern_length)
+        ),
+    }
+    return space.coerce(raw)
+
+
+IDENTITY_SPACES = {
+    **{name: SearchSpace.for_subsystem(name) for name in "ABCDEFGH"},
+    "F-duty": SearchSpace.for_subsystem("F", duty_cycles=(0.25, 0.5, 1.0)),
+    "F-ud-only": SearchSpace.for_subsystem("F", qp_types=(QPType.UD,)),
+    "F-rc-read": SearchSpace.for_subsystem(
+        "F", qp_types=(QPType.RC,), opcodes=(Opcode.READ,)
+    ),
+    "F-single-rung": SearchSpace.for_subsystem(
+        "F", mtus=(1024,), qps_choices=(64,), memory_devices=("numa0",),
+        msg_size_choices=(4096,),
+    ),
+}
+
+
+class TestBatchedSampling:
+    """``random_many`` is bit-identical to the sequential sampler: the
+    same points and the same generator state afterwards."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 192])
+    @pytest.mark.parametrize("name", sorted(IDENTITY_SPACES))
+    def test_matches_sequential_reference(self, name, n):
+        space = IDENTITY_SPACES[name]
+        for seed in (0, 1, 9001):
+            reference_rng = np.random.default_rng(seed)
+            batched_rng = np.random.default_rng(seed)
+            expected = [
+                sequential_random(space, reference_rng) for _ in range(n)
+            ]
+            assert space.random_many(batched_rng, n) == expected
+            assert (
+                batched_rng.bit_generator.state
+                == reference_rng.bit_generator.state
+            )
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_SPACES))
+    def test_random_is_one_point_batch(self, name):
+        space = IDENTITY_SPACES[name]
+        single_rng = np.random.default_rng(3)
+        batch_rng = np.random.default_rng(3)
+        for _ in range(5):
+            single = space.random(single_rng)
+            assert single == space.random_many(batch_rng, 1)[0]
+        assert single_rng.bit_generator.state == batch_rng.bit_generator.state
+
+    def test_consecutive_batches_continue_the_stream(self):
+        space = IDENTITY_SPACES["F"]
+        reference_rng = np.random.default_rng(5)
+        batched_rng = np.random.default_rng(5)
+        expected = [sequential_random(space, reference_rng) for _ in range(12)]
+        got = space.random_many(batched_rng, 5) + space.random_many(
+            batched_rng, 7
+        )
+        assert got == expected
+
+
 class TestMutation:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=150, deadline=None)
