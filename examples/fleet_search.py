@@ -7,6 +7,10 @@ machine a share, and lets the fleet search concurrently.  On a single
 testbed the nine counters dilute the 10-hour budget and the
 conditions-heavy anomalies often stay out of reach; with one counter per
 machine the full Table 2 suite of subsystem F is usually recovered.
+
+A fleet run returns a ``RunSet``: one report per machine, the seed each
+machine ran at, and the merged view (earliest hit per tag, summed
+experiments, wall-clock time of the slowest machine).
 """
 
 import sys
@@ -29,9 +33,13 @@ def main() -> None:
               f"{report.total_experiments:>11} | "
               f"{report.elapsed_seconds / 3600:>7.1f}h")
 
-    print("\nFleet (9 machines) anomaly set:")
     fleet = ParallelCollie(letter, machines=9, budget_hours=budget,
                            seed=1).run()
+    print("\nFleet (9 machines) runs, one per machine:")
+    for seed, report in zip(fleet.seeds, fleet.reports):
+        print(f"  seed {seed}: {'/'.join(report.counter_ranking):<28} "
+              f"{len(report.anomalies)} anomalies")
+    print("\nFleet (9 machines) anomaly set:")
     for index, mfs in enumerate(fleet.anomalies, 1):
         print(f"  {index:2d}: {mfs.describe()}")
 

@@ -39,8 +39,9 @@ from repro.baselines.genetic import GeneticSearch
 from repro.core import Collie
 from repro.core.collie import SearchReport
 from repro.core.evalcache import EvalCache
-from repro.core.executor import CampaignExecutor, ExecutorStats
+from repro.core.executor import CampaignExecutor, fan_out
 from repro.core.faults import FaultPlan, RetryPolicy
+from repro.core.runset import RunSet
 
 
 # -- approach factories (module-level: picklable for process fan-out) -------
@@ -122,30 +123,18 @@ def _accepts_kwarg(factory: Callable, name: str) -> bool:
     )
 
 
-def _run_seed(payload: dict) -> dict:
+def _run_seed(payload: dict, cache: Optional[EvalCache]) -> list:
     """One campaign seed, executed inside a worker process."""
     factory = payload["factory"]
     if factory is None:
         factory = APPROACHES[payload["approach"]]
-    cache = EvalCache() if payload["use_cache"] else None
-    if cache is not None and payload["cache_entries"]:
-        cache.import_entries(payload["cache_entries"])
     args = (payload["subsystem"], payload["budget_hours"], payload["seed"])
     kwargs: dict = {}
     if cache is not None and _accepts_kwarg(factory, "cache"):
         kwargs["cache"] = cache
-    if not payload.get("latency", True) and _accepts_kwarg(
-        factory, "latency"
-    ):
+    if not payload["latency"] and _accepts_kwarg(factory, "latency"):
         kwargs["latency"] = False
-    report = factory(*args, **kwargs)
-    return {
-        "report": report,
-        "cache_entries": (
-            cache.export_entries(new_only=True) if cache else None
-        ),
-        "cache_stats": cache.stats_dict() if cache else None,
-    }
+    return [factory(*args, **kwargs)]
 
 
 def completed_runs_from_journal(
@@ -175,36 +164,12 @@ def completed_runs_from_journal(
 
 
 @dataclasses.dataclass
-class CampaignResult:
-    """One approach's multi-seed campaign."""
+class CampaignResult(RunSet):
+    """One approach's multi-seed campaign: a labelled :class:`RunSet`."""
 
-    approach: str
-    subsystem: str
-    budget_hours: float
-    reports: list
-    #: Fan-out accounting of the run that produced the reports (None for
-    #: pre-executor callers constructing results by hand).
-    executor_stats: Optional[ExecutorStats] = None
-    #: Seeds whose reports were replayed from a resume journal rather
-    #: than recomputed (in seed order; empty for a fresh campaign).
-    resumed_seeds: tuple = ()
-
-    @property
-    def seeds(self) -> int:
-        return len(self.reports)
-
-    def per_seed_hits(self) -> list[dict]:
-        return [report.first_hit_times() for report in self.reports]
-
-    def union_tags(self) -> set:
-        tags: set = set()
-        for hits in self.per_seed_hits():
-            tags.update(hits)
-        return tags
-
-    def mean_found(self) -> float:
-        counts = [len(hits) for hits in self.per_seed_hits()]
-        return sum(counts) / len(counts) if counts else 0.0
+    approach: str = ""
+    subsystem: str = ""
+    budget_hours: float = 0.0
 
     def series(self, max_anomalies: int = 13) -> TimeToFindSeries:
         return time_to_find_series(
@@ -267,8 +232,6 @@ def run_campaign(
             seed: report for seed, report in completed.items()
             if seed in set(seeds)
         }
-    todo = [seed for seed in seeds if seed not in completed]
-    warm_entries = cache.export_entries() if cache is not None else None
     payloads = [
         {
             "approach": approach,
@@ -276,11 +239,9 @@ def run_campaign(
             "subsystem": subsystem,
             "budget_hours": budget_hours,
             "seed": seed,
-            "use_cache": cache is not None,
-            "cache_entries": warm_entries,
             "latency": latency,
         }
-        for seed in todo
+        for seed in seeds if seed not in completed
     ]
     executor = CampaignExecutor(
         workers=workers,
@@ -290,39 +251,15 @@ def run_campaign(
         faults=faults,
         recorder=recorder,
     )
-    outcomes = executor.map(_run_seed, payloads) if payloads else []
-    fresh = {
-        seed: outcome["report"] for seed, outcome in zip(todo, outcomes)
-    }
-    reports = [
-        completed[seed] if seed in completed else fresh[seed]
-        for seed in seeds
-    ]
-    if recorder is not None:
-        if executor.last_stats is not None:
-            recorder.fanout(executor.last_stats)
-        if completed:
-            recorder.metrics.counter(
-                "campaign.resumed_runs", len(completed)
-            )
-        # Replay every run in seed order — resumed and fresh alike — so
-        # the new journal is complete and re-renders identically to one
-        # from an uninterrupted campaign.
-        for seed, report in zip(seeds, reports):
-            recorder.record_report(report, budget_hours, seed=seed)
-    if cache is not None:
-        for outcome in outcomes:
-            if outcome["cache_entries"]:
-                cache.import_entries(outcome["cache_entries"])
-            if outcome["cache_stats"]:
-                cache.merge_stats(outcome["cache_stats"])
+    runs = fan_out(
+        executor, _run_seed, payloads, seeds, budget_hours,
+        cache=cache, recorder=recorder, replayed=completed,
+    )
     return CampaignResult(
+        **vars(runs),
         approach=approach,
         subsystem=subsystem,
         budget_hours=budget_hours,
-        reports=reports,
-        executor_stats=executor.last_stats,
-        resumed_seeds=tuple(seed for seed in seeds if seed in completed),
     )
 
 

@@ -24,6 +24,7 @@ from repro.baselines.random_search import BaselineReport
 from repro.cluster.clock import SimulatedClock
 from repro.cluster.testbed import Testbed
 from repro.core.annealing import SearchSignal, TraceEvent
+from repro.core.collie import rank_by_dispersion
 from repro.core.mfs import MFSExtractor, MinimalFeatureSet, match_any
 from repro.core.monitor import AnomalyMonitor
 from repro.core.space import SearchSpace
@@ -298,15 +299,7 @@ class BayesOptSearch:
             measurement = self._measure(workload, signal, kind="probe")
             for name in DIAGNOSTIC_COUNTERS:
                 observations[name].append(float(measurement.counters[name]))
-
-        def dispersion(name: str) -> float:
-            values = np.array(observations[name])
-            if values.size == 0 or values.mean() <= 0:
-                return 0.0
-            return float(values.std() / values.mean())
-
-        ranked = sorted(DIAGNOSTIC_COUNTERS, key=dispersion, reverse=True)
-        return [name for name in ranked if dispersion(name) > 0.0]
+        return rank_by_dispersion(observations)[0]
 
     def _run_pass(self, signal: SearchSignal, deadline: float) -> None:
         xs: list[np.ndarray] = []

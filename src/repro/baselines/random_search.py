@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.cluster.clock import SimulatedClock
 from repro.cluster.testbed import Testbed
-from repro.core.annealing import SearchState, TraceEvent
+from repro.core.annealing import SearchState, TraceEvent, first_hit_times
 from repro.core.monitor import AnomalyMonitor
 from repro.core.space import SearchSpace
 from repro.hardware.subsystems import Subsystem, get_subsystem
@@ -37,13 +37,7 @@ class BaselineReport:
     elapsed_seconds: float
 
     def first_hit_times(self) -> dict:
-        hits: dict = {}
-        for event in self.events:
-            if event.symptom == "healthy":
-                continue
-            for tag in event.tags:
-                hits.setdefault(tag, event.time_seconds)
-        return hits
+        return first_hit_times(self.events)
 
     def found_tags(self) -> list[str]:
         return sorted(self.first_hit_times())

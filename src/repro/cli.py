@@ -353,7 +353,6 @@ def _run_search_population(
     ``campaign_format`` (the ``--seeds`` delegation) the printed
     campaign summary matches the per-seed process path exactly.
     """
-    from repro.analysis.campaign import CampaignResult
     from repro.core.population import PopulationCollie
 
     ladder = None
@@ -380,32 +379,26 @@ def _run_search_population(
         victim=victim,
         victim_share=getattr(args, "victim_share", 0.5),
     )
-    report = driver.run()
+    runs = driver.run()
     if campaign_format:
-        result = CampaignResult(
-            approach=_search_approach(args),
-            subsystem=args.subsystem,
-            budget_hours=args.hours,
-            reports=report.reports,
-        )
-        logger.info(
-            f"{result.approach} on subsystem {args.subsystem}: "
-            f"{result.seeds} seeds, "
-            f"{result.mean_found():.1f} anomalies/seed, "
-            f"{sorted(result.union_tags()) or ['-']}"
-        )
-        for seed, seed_report in zip(
-            range(args.seed, args.seed + chains), result.reports
-        ):
-            logger.info(
-                f"  seed {seed}: {len(seed_report.anomalies)} anomalies, "
-                f"{seed_report.experiments} experiments"
-            )
+        _log_seed_summary(_search_approach(args), args.subsystem, runs)
     else:
-        logger.info(report.summary())
+        logger.info(driver.summary())
     _close_recorder(recorder)
     _close_cache(cache)
     return 0
+
+
+def _log_seed_summary(approach: str, subsystem: str, runs) -> None:
+    """The ``search --seeds N`` digest: one line per seed's run."""
+    logger.info(
+        f"{approach} on subsystem {subsystem}: "
+        f"{len(runs.seeds)} seeds, {runs.mean_found():.1f} anomalies/seed, "
+        f"{runs.found_tags() or ['-']}"
+    )
+    for seed, report in zip(runs.seeds, runs.reports):
+        logger.info(f"  seed {seed}: {len(report.anomalies)} anomalies, "
+                    f"{report.experiments} experiments")
 
 
 def _run_search_campaign(args: argparse.Namespace, cache, recorder) -> int:
@@ -424,16 +417,7 @@ def _run_search_campaign(args: argparse.Namespace, cache, recorder) -> int:
         latency=not args.no_latency,
         retry=_retry_policy(args),
     )
-    logger.info(
-        f"{approach} on subsystem {args.subsystem}: "
-        f"{result.seeds} seeds, {result.mean_found():.1f} anomalies/seed, "
-        f"{sorted(result.union_tags()) or ['-']}"
-    )
-    for seed, report in zip(
-        range(args.seed, args.seed + args.seeds), result.reports
-    ):
-        logger.info(f"  seed {seed}: {len(report.anomalies)} anomalies, "
-                    f"{report.experiments} experiments")
+    _log_seed_summary(approach, args.subsystem, result)
     if result.executor_stats is not None:
         logger.info(result.executor_stats.describe())
     _close_recorder(recorder)
@@ -458,17 +442,17 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         retry=_retry_policy(args),
         chains=args.chains,
     )
-    report = fleet.run()
+    runs = fleet.run()
     logger.info(
-        f"fleet of {report.machines} machines on subsystem "
-        f"{report.subsystem_name}: {len(report.anomalies)} anomalies, "
-        f"{report.total_experiments} experiments, "
-        f"{report.elapsed_seconds / 3600:.1f}h wall-clock"
+        f"fleet of {fleet.machines} machines on subsystem "
+        f"{fleet.subsystem.name}: {len(runs.anomalies)} anomalies, "
+        f"{runs.total_experiments} experiments, "
+        f"{runs.elapsed_seconds / 3600:.1f}h wall-clock"
     )
-    for index, mfs in enumerate(report.anomalies, 1):
+    for index, mfs in enumerate(runs.anomalies, 1):
         logger.info(f"  {index}: {mfs.describe()}")
-    if fleet.executor_stats is not None:
-        logger.info(fleet.executor_stats.describe())
+    if runs.executor_stats is not None:
+        logger.info(runs.executor_stats.describe())
     _close_recorder(recorder)
     _close_cache(cache)
     return 0
@@ -515,14 +499,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"resumed from {args.resume}: replayed "
             f"{len(result.resumed_seeds)} completed seed(s) "
             f"{list(result.resumed_seeds)}, recomputed "
-            f"{result.seeds - len(result.resumed_seeds)}"
+            f"{len(result.seeds) - len(result.resumed_seeds)}"
         )
     logger.info(
         f"{result.approach} on subsystem {result.subsystem}: "
-        f"{result.seeds} seeds x {result.budget_hours:.1f}h, "
+        f"{len(result.seeds)} seeds x {result.budget_hours:.1f}h, "
         f"{result.mean_found():.1f} anomalies/seed"
     )
-    for tag in sorted(result.union_tags()):
+    for tag in result.found_tags():
         logger.info(f"  found: {tag}")
     if result.executor_stats is not None:
         logger.info(result.executor_stats.describe())

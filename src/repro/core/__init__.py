@@ -22,7 +22,8 @@ from repro.core.faults import (
 )
 from repro.core.mfs import MinimalFeatureSet
 from repro.core.monitor import AnomalyMonitor, AnomalyVerdict
-from repro.core.population import PopulationCollie, PopulationReport
+from repro.core.population import PopulationCollie
+from repro.core.runset import RunSet
 from repro.core.space import SearchSpace
 
 __all__ = [
@@ -41,6 +42,6 @@ __all__ = [
     "AnomalyMonitor",
     "AnomalyVerdict",
     "PopulationCollie",
-    "PopulationReport",
+    "RunSet",
     "SearchSpace",
 ]

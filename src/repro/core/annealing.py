@@ -111,6 +111,23 @@ class TraceEvent:
     interference: Optional[float] = None
 
 
+def first_hit_times(events) -> dict:
+    """Ground-truth tag → simulated seconds of its first anomalous hit.
+
+    Only events the monitor actually classified as anomalous count — a
+    tag firing without an observable symptom is not "found".  Over a
+    chronological merge of several runs' events this is the earliest
+    concurrent discovery.
+    """
+    hits: dict = {}
+    for event in events:
+        if event.symptom == "healthy":
+            continue
+        for tag in event.tags:
+            hits.setdefault(tag, event.time_seconds)
+    return hits
+
+
 @dataclasses.dataclass(frozen=True)
 class MeasuredPoint:
     """One measurement plus the verdict and event bookkeeping from it.

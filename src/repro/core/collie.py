@@ -31,6 +31,7 @@ from repro.core.annealing import (
     SearchSignal,
     SearchState,
     TraceEvent,
+    first_hit_times,
 )
 from repro.core.mfs import MinimalFeatureSet, match_any
 from repro.core.monitor import AnomalyMonitor
@@ -47,6 +48,34 @@ RANKING_PROBES = 10
 
 #: Reusable no-op context for profiler-disabled span sites.
 _NO_SPAN = nullcontext()
+
+
+def rank_by_dispersion(observations: dict) -> tuple[list[str], dict]:
+    """The §7.2 counter ranking: std/mean over the probe observations.
+
+    ``observations`` maps each candidate counter (in candidate order) to
+    its probed values.  Returns the counters in decreasing dispersion —
+    minus those that never moved, which carry no searchable signal on
+    this subsystem — plus every candidate's dispersion in ranked order.
+    """
+
+    def dispersion(values: list) -> float:
+        values = np.array(values)
+        if values.size == 0:
+            return 0.0
+        mean = values.mean()
+        if mean <= 0:
+            return 0.0
+        return float(values.std() / mean)
+
+    scores = {
+        name: dispersion(values) for name, values in observations.items()
+    }
+    ranked = sorted(scores, key=scores.__getitem__, reverse=True)
+    return (
+        [name for name in ranked if scores[name] > 0.0],
+        {name: scores[name] for name in ranked},
+    )
 
 
 @dataclasses.dataclass
@@ -77,18 +106,8 @@ class SearchReport:
         return tags
 
     def first_hit_times(self) -> dict:
-        """Ground-truth tag → simulated seconds of first anomalous hit.
-
-        Only events the monitor actually classified as anomalous count —
-        a tag firing without an observable symptom is not "found".
-        """
-        hits: dict = {}
-        for event in self.events:
-            if event.symptom == "healthy":
-                continue
-            for tag in event.tags:
-                hits.setdefault(tag, event.time_seconds)
-        return hits
+        """Ground-truth tag → simulated seconds of first anomalous hit."""
+        return first_hit_times(self.events)
 
     def summary(self) -> str:
         lines = [
@@ -305,21 +324,8 @@ class Collie:
             counters = measured.measurement.counters
             for name in candidates:
                 observations[name].append(float(counters[name]))
-
-        def dispersion(name: str) -> float:
-            values = np.array(observations[name])
-            if values.size == 0:
-                return 0.0
-            mean = values.mean()
-            if mean <= 0:
-                return 0.0
-            return float(values.std() / mean)
-
-        ranked = sorted(candidates, key=dispersion, reverse=True)
-        # A counter that never moved across ten random probes carries no
-        # searchable signal on this subsystem; spend the budget elsewhere.
-        self._dispersions = {name: dispersion(name) for name in ranked}
-        return [name for name in ranked if dispersion(name) > 0.0]
+        ranking, self._dispersions = rank_by_dispersion(observations)
+        return ranking
 
     def _search_counters(self, state: SearchState, ranking: list[str]):
         """Run one SA pass per counter, in ranking order.

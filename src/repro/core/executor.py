@@ -30,6 +30,11 @@ the chaos suite pins the exact retry/quarantine trajectory.
 
 When process pools are unavailable (restricted sandboxes), the executor
 degrades to an in-process serial loop and records that it did.
+
+:func:`fan_out` is the one driver-side wrapper around :meth:`map` that
+campaigns and the machine fleet share: per-task cache warm-start and
+hand-back, journaling in seed order, and the merged
+:class:`~repro.core.runset.RunSet`.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import Callable, Optional, Sequence
 
+from repro.core.evalcache import EvalCache
 from repro.core.faults import (
     FaultPlan,
     FaultSpec,
@@ -52,6 +58,7 @@ from repro.core.faults import (
     WorkerCrash,
     raise_fault,
 )
+from repro.core.runset import RunSet
 
 #: Reusable no-op context for profiler-disabled span sites.
 _NO_SPAN = nullcontext()
@@ -332,6 +339,76 @@ class CampaignExecutor:
         elif self.metrics is not None:
             self.metrics.counter("faults.quarantines")
             self.metrics.counter("faults.redistributed", redistributed)
+
+
+def _cached_task(job: tuple) -> tuple:
+    """Worker side of :func:`fan_out`: one task behind its own cache.
+
+    ``warm`` is None without a cache; otherwise the task runs against a
+    fresh :class:`~repro.core.evalcache.EvalCache` warm-started from
+    those entries, and the entries it added plus its stats travel back.
+    """
+    task, payload, warm = job
+    if warm is None:
+        return task(payload, None), None, None
+    cache = EvalCache()
+    if warm:
+        cache.import_entries(warm)
+    reports = task(payload, cache)
+    return reports, cache.export_entries(new_only=True), cache.stats_dict()
+
+
+def fan_out(
+    executor: CampaignExecutor,
+    task: Callable,
+    payloads: Sequence,
+    seeds: Sequence[int],
+    budget_hours: float,
+    cache=None,
+    recorder=None,
+    replayed: Optional[dict] = None,
+) -> RunSet:
+    """Run independent searches across ``executor`` and merge them.
+
+    ``task(payload, cache)`` is a module-level callable returning the
+    list of reports one payload produced.  ``seeds`` names every report
+    of the merged :class:`~repro.core.runset.RunSet`, in order;
+    ``replayed`` maps the seeds already finished (a resumed campaign) to
+    their reports, and the payloads' reports fill the remaining seeds in
+    order.  ``cache`` warm-starts every task and absorbs what they
+    computed.  ``recorder`` journals the fan-out and then every report
+    in seed order — resumed and fresh alike, so a resumed journal
+    re-renders identically to an uninterrupted one; a journal's file
+    handle cannot travel into worker processes.
+    """
+    replayed = replayed or {}
+    warm = cache.export_entries() if cache is not None else None
+    jobs = [(task, payload, warm) for payload in payloads]
+    outcomes = executor.map(_cached_task, jobs) if jobs else []
+    stats = executor.last_stats if jobs else None
+    fresh = iter([report for reports, _, _ in outcomes for report in reports])
+    reports = [
+        replayed[seed] if seed in replayed else next(fresh) for seed in seeds
+    ]
+    if recorder is not None:
+        if stats is not None:
+            recorder.fanout(stats)
+        if replayed:
+            recorder.metrics.counter("campaign.resumed_runs", len(replayed))
+        for seed, report in zip(seeds, reports):
+            recorder.record_report(report, budget_hours, seed=seed)
+    if cache is not None:
+        for _, entries, cache_stats in outcomes:
+            if entries:
+                cache.import_entries(entries)
+            if cache_stats:
+                cache.merge_stats(cache_stats)
+    return RunSet(
+        reports=reports,
+        seeds=list(seeds),
+        executor_stats=stats,
+        resumed_seeds=tuple(seed for seed in seeds if seed in replayed),
+    )
 
 
 def _error_kind(error: Exception) -> str:

@@ -13,123 +13,51 @@ budget with eight siblings now gets hours of dedicated attention.
 With ``workers > 1`` the machines really do run concurrently: each
 machine is one task for the :class:`~repro.core.executor.CampaignExecutor`
 process pool.  Every machine's RNG and clock are built inside the worker
-from the machine's own seed, so the merged report is bit-identical to a
-serial fleet run.
+from the machine's own seed, so the merged
+:class:`~repro.core.runset.RunSet` is bit-identical to a serial fleet
+run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 import numpy as np
 
-from repro.core.annealing import SAParams, TraceEvent
-from repro.core.collie import Collie, SearchReport
+from repro.core.annealing import SAParams
+from repro.core.collie import RANKING_PROBES, rank_by_dispersion
 from repro.core.evalcache import EvalCache
-from repro.core.executor import CampaignExecutor, ExecutorStats
+from repro.core.executor import CampaignExecutor, fan_out
 from repro.core.faults import FaultPlan, RetryPolicy
-from repro.core.mfs import MinimalFeatureSet
 from repro.core.population import PopulationCollie
+from repro.core.runset import RunSet
 from repro.core.space import SearchSpace
 from repro.hardware.counters import DIAGNOSTIC_COUNTERS
 from repro.hardware.model import SteadyStateModel
 from repro.hardware.subsystems import Subsystem, get_subsystem
 
 
-@dataclasses.dataclass
-class ParallelReport:
-    """Merged outcome of a machine fleet."""
-
-    subsystem_name: str
-    machines: int
-    reports: list[SearchReport]
-    elapsed_seconds: float  #: max over machines (concurrent execution).
-
-    @property
-    def anomalies(self) -> list[MinimalFeatureSet]:
-        merged: list[MinimalFeatureSet] = []
-        for report in self.reports:
-            merged.extend(report.anomalies)
-        return merged
-
-    def first_hit_times(self) -> dict:
-        """Tag → earliest concurrent discovery time across machines."""
-        hits: dict = {}
-        for report in self.reports:
-            for tag, seconds in report.first_hit_times().items():
-                if tag not in hits or seconds < hits[tag]:
-                    hits[tag] = seconds
-        return hits
-
-    def found_tags(self) -> list[str]:
-        return sorted(self.first_hit_times())
-
-    @property
-    def total_experiments(self) -> int:
-        return sum(r.experiments for r in self.reports)
-
-    def events(self) -> list[TraceEvent]:
-        merged = [e for r in self.reports for e in r.events]
-        return sorted(merged, key=lambda e: e.time_seconds)
-
-
-def _run_machine(payload: dict) -> dict:
+def _run_machine(payload: dict, cache: Optional[EvalCache]) -> list:
     """One fleet machine, executed inside a worker process.
 
-    The Collie instance — clock, RNG, testbed — is built here from the
+    The driver — clocks, RNGs, testbeds — is built here from the
     payload's seed, so the machine's trajectory does not depend on which
-    process runs it.  A per-machine :class:`EvalCache` is attached when
-    requested; its entries and stats travel back for merging.
-
-    With ``chains > 1`` the machine runs a lockstep SA population over
-    its counter share instead of a single trajectory — chain ``c``
-    seeds at ``seed + c``, and the machine returns one report per chain
-    (bit-identical to running each seed standalone, so the fleet merge
-    semantics are unchanged).
+    process runs it.  The machine steps a lockstep SA population over
+    its counter share: chain ``c`` seeds at ``seed + c`` and contributes
+    one report (a 1-chain population *is* the plain single trajectory).
     """
-    cache = EvalCache() if payload["use_cache"] else None
-    if cache is not None and payload["cache_entries"]:
-        cache.import_entries(payload["cache_entries"])
-    chains = payload.get("chains", 1)
-    if chains > 1:
-        driver = PopulationCollie(
-            payload["subsystem"],
-            chains=chains,
-            space=payload["space"],
-            counters=payload["share"],
-            budget_hours=payload["budget_hours"],
-            seed=payload["seed"],
-            sa_params=payload["sa_params"],
-            noise=payload["noise"],
-            cache=cache,
-            latency=payload.get("latency", True),
-        )
-        reports = driver.run().reports
-    else:
-        collie = Collie(
-            payload["subsystem"],
-            space=payload["space"],
-            counters=payload["share"],
-            budget_hours=payload["budget_hours"],
-            seed=payload["seed"],
-            sa_params=payload["sa_params"],
-            noise=payload["noise"],
-            cache=cache,
-            latency=payload.get("latency", True),
-        )
-        reports = [collie.run()]
-    return {
-        "reports": reports,
-        "cache_entries": (
-            cache.export_entries(new_only=True)
-            if payload["use_cache"] and cache else None
-        ),
-        "cache_stats": (
-            cache.stats_dict()
-            if payload["use_cache"] and cache else None
-        ),
-    }
+    return PopulationCollie(
+        payload["subsystem"],
+        chains=payload["chains"],
+        space=payload["space"],
+        counters=payload["share"],
+        budget_hours=payload["budget_hours"],
+        seed=payload["seed"],
+        sa_params=payload["sa_params"],
+        noise=payload["noise"],
+        cache=cache,
+        latency=payload["latency"],
+    ).run().reports
 
 
 class ParallelCollie:
@@ -184,31 +112,21 @@ class ParallelCollie:
         self.latency = latency
         #: SA chains per machine: each machine steps a lockstep
         #: population over its counter share (chain ``c`` of machine
-        #: ``m`` seeds at ``seed * 1000 + m + c``) and contributes one
-        #: report per chain to the merge.
+        #: ``m`` seeds at ``seed * 1000 + m * chains + c``, so no two
+        #: chains of the fleet share a seed) and contributes one report
+        #: per chain to the merge.
         self.chains = chains
-
-    @property
-    def executor_stats(self) -> Optional[ExecutorStats]:
-        return self.executor.last_stats
 
     def _rank_counters(self) -> list[str]:
         """Shared ranking pass: 10 random probes, std/mean descending."""
         rng = np.random.default_rng(self.seed)
         model = SteadyStateModel(self.subsystem, noise=self.noise)
         observations: dict = {name: [] for name in DIAGNOSTIC_COUNTERS}
-        for _ in range(10):
+        for _ in range(RANKING_PROBES):
             measurement = model.evaluate(self.space.random(rng), rng)
             for name in DIAGNOSTIC_COUNTERS:
                 observations[name].append(float(measurement.counters[name]))
-
-        def dispersion(name: str) -> float:
-            values = np.array(observations[name])
-            mean = values.mean()
-            return float(values.std() / mean) if mean > 0 else 0.0
-
-        ranked = sorted(DIAGNOSTIC_COUNTERS, key=dispersion, reverse=True)
-        return [name for name in ranked if dispersion(name) > 0.0]
+        return rank_by_dispersion(observations)[0]
 
     def _partition(self, ranked: list[str]) -> list[tuple[str, ...]]:
         """Round-robin counter shares, one per machine."""
@@ -217,50 +135,33 @@ class ParallelCollie:
             shares[index % self.machines].append(counter)
         return [tuple(share) for share in shares if share]
 
-    def run(self) -> ParallelReport:
-        ranked = self._rank_counters()
-        warm_entries = (
-            self.cache.export_entries() if self.cache is not None else None
-        )
+    def run(self) -> RunSet:
+        shares = self._partition(self._rank_counters())
+        first_seeds = [
+            self.seed * 1000 + machine * self.chains
+            for machine in range(len(shares))
+        ]
         payloads = [
             {
                 "subsystem": self.subsystem,
                 "space": self.space,
                 "share": share,
                 "budget_hours": self.budget_hours,
-                "seed": self.seed * 1000 + machine,
+                "seed": seed,
                 "sa_params": self.sa_params,
                 "noise": self.noise,
-                "use_cache": self.cache is not None,
-                "cache_entries": warm_entries,
                 "latency": self.latency,
                 "chains": self.chains,
             }
-            for machine, share in enumerate(self._partition(ranked))
+            for seed, share in zip(first_seeds, shares)
         ]
-        outcomes = self.executor.map(_run_machine, payloads)
-        reports: list[SearchReport] = []
-        seeds: list[int] = []
-        for machine, outcome in enumerate(outcomes):
-            for chain, report in enumerate(outcome["reports"]):
-                reports.append(report)
-                seeds.append(self.seed * 1000 + machine + chain)
-        if self.recorder is not None:
-            if self.executor.last_stats is not None:
-                self.recorder.fanout(self.executor.last_stats)
-            for report, report_seed in zip(reports, seeds):
-                self.recorder.record_report(
-                    report, self.budget_hours, seed=report_seed,
-                )
-        if self.cache is not None:
-            for outcome in outcomes:
-                if outcome["cache_entries"]:
-                    self.cache.import_entries(outcome["cache_entries"])
-                if outcome["cache_stats"]:
-                    self.cache.merge_stats(outcome["cache_stats"])
-        return ParallelReport(
-            subsystem_name=self.subsystem.name,
-            machines=self.machines,
-            reports=reports,
-            elapsed_seconds=max(r.elapsed_seconds for r in reports),
+        return fan_out(
+            self.executor, _run_machine, payloads,
+            seeds=[
+                seed + chain
+                for seed in first_seeds for chain in range(self.chains)
+            ],
+            budget_hours=self.budget_hours,
+            cache=self.cache,
+            recorder=self.recorder,
         )

@@ -45,77 +45,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.core.annealing import SAParams, SearchSignal, TraceEvent
-from repro.core.collie import Collie, SearchReport
+from repro.core.annealing import SAParams, SearchSignal
+from repro.core.collie import Collie
 from repro.core.evalcache import EvalCache
-from repro.core.mfs import MinimalFeatureSet
+from repro.core.runset import RunSet
 from repro.core.space import SearchSpace
 from repro.hardware.subsystems import Subsystem, get_subsystem
-
-
-@dataclasses.dataclass
-class PopulationReport:
-    """Merged outcome of one population run."""
-
-    subsystem_name: str
-    chains: int
-    reports: list[SearchReport]  #: one per chain, in chain order.
-    generations: int  #: lockstep rounds until the last chain finished.
-    exchanges: int  #: replica swaps performed (tempering only).
-    mode: str  #: ``independent`` or ``tempering``.
-    temperature_ladder: Optional[tuple] = None
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Max over chains: they run concurrently in simulated time."""
-        return max((r.elapsed_seconds for r in self.reports), default=0.0)
-
-    @property
-    def anomalies(self) -> list[MinimalFeatureSet]:
-        merged: list[MinimalFeatureSet] = []
-        for report in self.reports:
-            merged.extend(report.anomalies)
-        return merged
-
-    @property
-    def total_experiments(self) -> int:
-        return sum(r.experiments for r in self.reports)
-
-    def first_hit_times(self) -> dict:
-        """Tag → earliest concurrent discovery time across chains."""
-        hits: dict = {}
-        for report in self.reports:
-            for tag, seconds in report.first_hit_times().items():
-                if tag not in hits or seconds < hits[tag]:
-                    hits[tag] = seconds
-        return hits
-
-    def found_tags(self) -> list[str]:
-        return sorted(self.first_hit_times())
-
-    def events(self) -> list[TraceEvent]:
-        merged = [e for r in self.reports for e in r.events]
-        return sorted(merged, key=lambda e: e.time_seconds)
-
-    def summary(self) -> str:
-        label = (
-            f"tempering ladder {self.temperature_ladder}"
-            if self.mode == "tempering" else f"{self.chains} chains"
-        )
-        lines = [
-            f"Population({label}) on subsystem {self.subsystem_name}: "
-            f"{len(self.anomalies)} anomalies (MFS), "
-            f"{self.total_experiments} experiments, "
-            f"{self.generations} generations"
-            + (f", {self.exchanges} exchanges" if self.exchanges else ""),
-        ]
-        for chain, report in enumerate(self.reports):
-            lines.append(
-                f"  chain {chain}: {len(report.anomalies)} anomalies, "
-                f"{report.experiments} experiments, "
-                f"{report.elapsed_seconds / 3600:.1f} simulated hours"
-            )
-        return "\n".join(lines)
 
 
 class PopulationCollie:
@@ -246,11 +181,11 @@ class PopulationCollie:
             self._ladder_order = []
         self.exchanges = 0
         self.generations = 0
-        self.last_report: Optional[PopulationReport] = None
+        self.last_report: Optional[RunSet] = None
 
     # -- the lockstep loop -------------------------------------------------
 
-    def run(self) -> PopulationReport:
+    def run(self) -> RunSet:
         """Drive every chain to completion, one generation at a time."""
         steppers = [collie.steps() for collie in self._collies]
         pending: dict = {}  # chain index -> workload awaiting measurement
@@ -271,19 +206,34 @@ class PopulationCollie:
             # finished chain, so resumption order is chain order.
             for index in list(pending):
                 self._advance(index, steppers[index], pending, reports)
-        self.last_report = PopulationReport(
-            subsystem_name=self.subsystem.name,
-            chains=self.chains,
+        self.last_report = RunSet(
             reports=reports,
-            generations=self.generations,
-            exchanges=self.exchanges,
-            mode=(
-                "tempering" if self.temperature_ladder is not None
-                else "independent"
-            ),
-            temperature_ladder=self.temperature_ladder,
+            seeds=[self.seed + chain for chain in range(self.chains)],
         )
         return self.last_report
+
+    def summary(self) -> str:
+        """The last run's per-chain digest plus the lockstep facts."""
+        runs = self.last_report
+        label = (
+            f"tempering ladder {self.temperature_ladder}"
+            if self.temperature_ladder is not None
+            else f"{self.chains} chains"
+        )
+        lines = [
+            f"Population({label}) on subsystem {self.subsystem.name}: "
+            f"{len(runs.anomalies)} anomalies (MFS), "
+            f"{runs.total_experiments} experiments, "
+            f"{self.generations} generations"
+            + (f", {self.exchanges} exchanges" if self.exchanges else ""),
+        ]
+        for chain, report in enumerate(runs.reports):
+            lines.append(
+                f"  chain {chain}: {len(report.anomalies)} anomalies, "
+                f"{report.experiments} experiments, "
+                f"{report.elapsed_seconds / 3600:.1f} simulated hours"
+            )
+        return "\n".join(lines)
 
     def _advance(self, index, stepper, pending, reports) -> None:
         """Resume one chain until its next pre-measurement suspension."""

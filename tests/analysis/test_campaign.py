@@ -18,9 +18,9 @@ class TestRunCampaign:
         result = run_campaign(
             "random", subsystem="H", seeds=(1, 2), budget_hours=1.0
         )
-        assert result.seeds == 2
+        assert result.seeds == [1, 2]
         assert result.mean_found() >= 1
-        assert result.union_tags() >= set(result.per_seed_hits()[0])
+        assert set(result.found_tags()) >= set(result.per_seed_hits()[0])
 
     def test_custom_factory(self):
         calls = []

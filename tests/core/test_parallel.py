@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.parallel import ParallelCollie, ParallelReport
+from repro.core.parallel import ParallelCollie
 
 
 class TestConfiguration:
@@ -24,14 +24,19 @@ class TestConfiguration:
 
 
 @pytest.fixture(scope="module")
-def small_fleet():
-    return ParallelCollie("H", machines=2, budget_hours=1.5, seed=3).run()
+def fleet_driver():
+    return ParallelCollie("H", machines=2, budget_hours=1.5, seed=3)
+
+
+@pytest.fixture(scope="module")
+def small_fleet(fleet_driver):
+    return fleet_driver.run()
 
 
 class TestRun:
-    def test_one_report_per_busy_machine(self, small_fleet):
+    def test_one_report_per_busy_machine(self, fleet_driver, small_fleet):
         assert 1 <= len(small_fleet.reports) <= 2
-        assert small_fleet.machines == 2
+        assert fleet_driver.machines == 2
 
     def test_machines_search_disjoint_counters(self, small_fleet):
         rankings = [set(r.counter_ranking) for r in small_fleet.reports]
@@ -61,6 +66,31 @@ class TestRun:
     def test_events_merged_chronologically(self, small_fleet):
         times = [e.time_seconds for e in small_fleet.events()]
         assert times == sorted(times)
+
+    def test_one_chain_machine_m_seeds_at_seed_times_1000_plus_m(
+        self, small_fleet
+    ):
+        assert small_fleet.seeds == [3000, 3001][:len(small_fleet.reports)]
+
+
+class TestFleetSeeds:
+    def test_chains_of_different_machines_never_share_a_seed(self):
+        """Chain c of machine m seeds at seed*1000 + m*chains + c.
+
+        Seeding at seed*1000 + m + c ran machine 0's chain 1 and machine
+        1's chain 0 at the same seed: identical probe workloads, and two
+        journal runs under one seed.  Their counter shares differ, so
+        only the ranking probes show a shared seed.
+        """
+        runs = ParallelCollie(
+            "H", machines=2, chains=2, budget_hours=0.2, seed=0
+        ).run()
+        assert runs.seeds == [0, 1, 2, 3]
+        machine0_chain1, machine1_chain0 = runs.reports[1], runs.reports[2]
+        assert (
+            machine0_chain1.events[0].workload
+            != machine1_chain0.events[0].workload
+        )
 
 
 class TestScaling:

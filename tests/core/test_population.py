@@ -56,10 +56,11 @@ class TestOneChainIsLegacy:
         legacy = Collie.for_subsystem(
             subsystem, budget_hours=0.15, seed=7,
         ).run()
-        population = PopulationCollie(
+        driver = PopulationCollie(
             subsystem, chains=1, budget_hours=0.15, seed=7,
-        ).run()
-        assert population.chains == 1
+        )
+        population = driver.run()
+        assert driver.chains == 1
         assert report_key(population.reports[0]) == report_key(legacy)
 
     def test_single_chain_journal_is_record_identical(self, tmp_path):
@@ -96,15 +97,11 @@ class TestChainsAreIndependent:
             assert report_key(report) == report_key(standalone)
 
     def test_population_repeats_bit_identically(self):
-        first = PopulationCollie(
-            "H", chains=4, budget_hours=0.2, seed=9,
-        ).run()
-        second = PopulationCollie(
-            "H", chains=4, budget_hours=0.2, seed=9,
-        ).run()
+        first = PopulationCollie("H", chains=4, budget_hours=0.2, seed=9)
+        second = PopulationCollie("H", chains=4, budget_hours=0.2, seed=9)
         assert (
-            [report_key(r) for r in first.reports]
-            == [report_key(r) for r in second.reports]
+            [report_key(r) for r in first.run().reports]
+            == [report_key(r) for r in second.run().reports]
         )
         assert first.generations == second.generations
 
@@ -167,11 +164,11 @@ class TestTempering:
             temperature_ladder=(2.0, 1.0, 0.5),
             counters=("qpc_cache_miss",), exchange_every=5,
         )
-        first = PopulationCollie("H", **kwargs).run()
-        second = PopulationCollie("H", **kwargs).run()
+        first = PopulationCollie("H", **kwargs)
+        second = PopulationCollie("H", **kwargs)
         assert (
-            [report_key(r) for r in first.reports]
-            == [report_key(r) for r in second.reports]
+            [report_key(r) for r in first.run().reports]
+            == [report_key(r) for r in second.run().reports]
         )
         assert first.exchanges == second.exchanges
 
