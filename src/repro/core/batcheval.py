@@ -161,16 +161,15 @@ def _measurements_from_rows(
     measurements = []
     subsystem_name = model.subsystem.name
     if window:
-        # One axis-1 reduction replaces a stack+mean per point; for the
-        # short windows in play the summation order (sequential below
-        # numpy's pairwise threshold) and thus every bit is the same as
-        # scalar ``average_counters``.
-        means = rows.mean(axis=1)
-        means_list = means.tolist()
+        # One axis-1 reduction replaces an average per point; numpy adds
+        # a non-innermost axis row by row from 0.0, the summation order
+        # of scalar ``average_counters``, so every bit is the same.
+        means_list = rows.mean(axis=1).tolist()
+    rows_list = rows.tolist()
     for i in range(n):
         samples = [
-            CounterSample(second=second, row=rows[i, second])
-            for second in range(window)
+            CounterSample(second=second, row=row) for second, row in
+            enumerate(rows_list[i])
         ]
         if window:
             counters = dict(zip(ALL_COUNTERS, means_list[i]))

@@ -27,8 +27,7 @@ per-second samples and only classifies once the traffic is steady.
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
+import math
 
 from repro.hardware.coexist import UNDEFINED_INTERFERENCE, VictimFloor
 from repro.hardware.model import Measurement
@@ -94,6 +93,9 @@ class AnomalyVerdict:
 class AnomalyMonitor:
     """Applies the §5.2 conditions to measurements of one subsystem."""
 
+    #: Symptom of a measurement whose p99 crossed the trigger multiple.
+    latency_symptom = LATENCY_INFLATION
+
     def __init__(
         self,
         subsystem: Subsystem,
@@ -119,44 +121,20 @@ class AnomalyMonitor:
 
         Pause detection reads the sampled pause-duration counter (what a
         real monitor sees); throughput bounds read the per-direction wire
-        rates and the summed packet rate.
+        rates and the summed packet rate.  The latency trigger is checked
+        last: the paper's symptoms keep precedence, so the trigger only
+        ever promotes previously-healthy workloads.
         """
-        stable = self.is_stable(measurement)
-        pause_us = measurement.counters["pause_duration_us_per_sec"]
-        pause_ratio = pause_us / 1e6
-        min_wire = measurement.min_direction_wire_gbps
-        total_pps = measurement.total_packets_per_sec
-
-        latency_p99 = 0.0
-        inflation = 0.0
+        pause_ratio = measurement.counters["pause_duration_us_per_sec"] / 1e6
         profile = measurement.latency if self.latency else None
-        if profile is not None:
-            # Hot path: a profile whose grid maximum cannot reach the
-            # trigger multiple is healthy without building the summary
-            # (its verdict then reports the 0.0 placeholders, like a
-            # profile-less measurement); the full estimator runs only
-            # for profiles near or over the trigger, or ones something
-            # else (the journal recorder, a prior verdict) already
-            # summarized.
-            summary = profile.cached_summary()
-            if summary is None and profile.may_exceed(self.latency_multiple):
-                summary = profile.summary()
-            if summary is not None:
-                latency_p99 = summary["p99_us"]
-                inflation = summary["inflation"]
-
+        latency_p99, inflation = self._latency_signal(profile)
+        throughput = self._throughput_symptom(measurement)
         if pause_ratio > self.pause_threshold:
             symptom = PAUSE_FRAME
-        elif self._below_both_bounds(min_wire, total_pps):
-            symptom = LOW_THROUGHPUT
-        elif (
-            self.latency
-            and profile is not None
-            and inflation > self.latency_multiple
-        ):
-            # Checked last: the paper's symptoms keep precedence, so the
-            # trigger only ever promotes previously-healthy workloads.
-            symptom = LATENCY_INFLATION
+        elif throughput is not None:
+            symptom = throughput
+        elif profile is not None and inflation > self.latency_multiple:
+            symptom = self.latency_symptom
         else:
             symptom = HEALTHY
         if self.metrics is not None:
@@ -164,31 +142,84 @@ class AnomalyMonitor:
         return AnomalyVerdict(
             symptom=symptom,
             pause_ratio=pause_ratio,
-            min_wire_gbps=min_wire,
-            total_packets_per_sec=total_pps,
-            stable=stable,
+            min_wire_gbps=measurement.min_direction_wire_gbps,
+            total_packets_per_sec=measurement.total_packets_per_sec,
+            stable=self.is_stable(measurement),
             latency_p99_us=latency_p99,
             latency_inflation=inflation,
+            interference=self._interference(measurement),
         )
 
-    def is_anomalous(self, measurement: Measurement) -> bool:
-        return self.classify(measurement).is_anomalous
-
-    def _below_both_bounds(self, wire_gbps: float, pps: float) -> bool:
+    def _throughput_symptom(self, measurement: Measurement):
+        """``low throughput`` below *both* §5.2 bounds, else None."""
         rnic = self.subsystem.rnic
-        bits_ok = wire_gbps >= self.throughput_fraction * rnic.line_rate_gbps
-        pps_ok = pps >= self.throughput_fraction * rnic.max_pps
-        return not (bits_ok or pps_ok)
+        fraction = self.throughput_fraction
+        bits_ok = measurement.min_direction_wire_gbps >= (
+            fraction * rnic.line_rate_gbps
+        )
+        pps_ok = measurement.total_packets_per_sec >= fraction * rnic.max_pps
+        return None if bits_ok or pps_ok else LOW_THROUGHPUT
+
+    def _latency_signal(self, profile) -> tuple[float, float]:
+        """The profile's p99 and its inflation over the latency floor.
+
+        Hot path: a profile whose grid maximum cannot reach the trigger
+        multiple is healthy without building the summary (its verdict
+        then reports the 0.0 placeholders, like a profile-less
+        measurement); the full estimator runs only for profiles near or
+        over the trigger, or ones something else (the journal recorder,
+        a prior verdict) already summarized.
+        """
+        if profile is None:
+            return 0.0, 0.0
+        summary = profile.cached_summary()
+        if summary is None and profile.may_exceed(self.latency_multiple):
+            summary = profile.summary()
+        if summary is None:
+            return 0.0, 0.0
+        return summary["p99_us"], summary["inflation"]
+
+    def _interference(self, measurement: Measurement):
+        """Solo verdicts carry no interference figure."""
+        return None
 
     def is_stable(self, measurement: Measurement) -> bool:
-        """Coefficient-of-variation check across the per-second samples."""
-        readings = np.array(
-            [s.get("tx_bytes_per_sec") for s in measurement.samples]
-        )
-        mean = readings.mean()
+        """Coefficient-of-variation check across the per-second samples.
+
+        Plain floats summed in numpy's order (:func:`_numpy_sum`), so
+        the verdict is bit for bit that of ``np.std(r) / np.mean(r)``
+        on the 4-second window.  An empty window is never stable.
+        """
+        readings = [s.get("tx_bytes_per_sec") for s in measurement.samples]
+        n = len(readings)
+        if not n:
+            return False
+        mean = _numpy_sum(readings) / n
         if mean <= 0:
             return True
-        return float(readings.std() / mean) <= self.stability_cv
+        var = _numpy_sum([(r - mean) * (r - mean) for r in readings]) / n
+        return math.sqrt(var) / mean <= self.stability_cv
+
+
+def _numpy_sum(values: list) -> float:
+    """``np.sum`` of a 1-D float64 list, in numpy's summation order:
+    fewer than 8 values one by one, up to 128 in 8 strided accumulators,
+    longer runs split in halves of whole 8-blocks."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+    total, stop = 0.0, 0
+    if n >= 8:
+        acc, stop = values[:8], n - n % 8
+        for i in range(8, stop, 8):
+            acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+    for value in values[stop:]:
+        total += value
+    return total
 
 
 class IsolationMonitor(AnomalyMonitor):
@@ -214,6 +245,8 @@ class IsolationMonitor(AnomalyMonitor):
     the ``isolation.*`` metrics.
     """
 
+    latency_symptom = VICTIM_LATENCY
+
     def __init__(
         self,
         subsystem: Subsystem,
@@ -237,64 +270,39 @@ class IsolationMonitor(AnomalyMonitor):
         #: The pinned victim's solo baseline (noise-free, full part).
         self.floor = floor
 
-    def classify(self, measurement: Measurement) -> AnomalyVerdict:
-        """Classify one co-run measurement of the victim."""
-        stable = self.is_stable(measurement)
-        pause_us = measurement.counters["pause_duration_us_per_sec"]
-        pause_ratio = pause_us / 1e6
-        min_wire = measurement.min_direction_wire_gbps
-        total_pps = measurement.total_packets_per_sec
-        shared_gbps = measurement.directions[0].wire_gbps
+    def _throughput_symptom(self, measurement: Measurement):
+        """``victim degraded`` below the fraction of the fair share."""
         fair_gbps = self.floor.fair_share_gbps
-        interference = (
-            shared_gbps / fair_gbps
-            if fair_gbps > 0
-            else UNDEFINED_INTERFERENCE
-        )
-
-        latency_p99 = 0.0
-        inflation = 0.0
-        alone_p99 = self.floor.alone_p99_us
-        profile = measurement.latency if self.latency else None
-        if profile is not None and alone_p99 > 0:
-            # Same hot-path shape as the base monitor, with the O(1)
-            # bound taken against the victim's alone-floor p99: a
-            # profile whose grid maximum cannot reach the trigger is
-            # healthy without building the percentile summary, and the
-            # verdict is the same whether or not something else already
-            # summarized the profile.
-            summary = profile.cached_summary()
-            if summary is None and profile.may_exceed_value(
-                self.latency_multiple * alone_p99
-            ):
-                summary = profile.summary()
-            if summary is not None:
-                latency_p99 = summary["p99_us"]
-                inflation = latency_p99 / alone_p99
-
-        if pause_ratio > self.pause_threshold:
-            symptom = PAUSE_FRAME
-        elif fair_gbps > 0 and shared_gbps < (
+        shared_gbps = measurement.directions[0].wire_gbps
+        if fair_gbps > 0 and shared_gbps < (
             self.throughput_fraction * fair_gbps
         ):
-            symptom = VICTIM_DEGRADED
-        elif (
-            self.latency
-            and profile is not None
-            and inflation > self.latency_multiple
+            return VICTIM_DEGRADED
+        return None
+
+    def _latency_signal(self, profile) -> tuple[float, float]:
+        """The victim's p99 and its inflation over the alone-floor p99.
+
+        Same hot-path shape as the base monitor, with the O(1) bound
+        taken against the victim's alone-floor p99: the verdict is the
+        same whether or not something else already summarized the
+        profile.
+        """
+        alone_p99 = self.floor.alone_p99_us
+        if profile is None or alone_p99 <= 0:
+            return 0.0, 0.0
+        summary = profile.cached_summary()
+        if summary is None and profile.may_exceed_value(
+            self.latency_multiple * alone_p99
         ):
-            symptom = VICTIM_LATENCY
-        else:
-            symptom = HEALTHY
-        if self.metrics is not None:
-            self.metrics.counter("monitor.verdicts", symptom=symptom)
-        return AnomalyVerdict(
-            symptom=symptom,
-            pause_ratio=pause_ratio,
-            min_wire_gbps=min_wire,
-            total_packets_per_sec=total_pps,
-            stable=stable,
-            latency_p99_us=latency_p99,
-            latency_inflation=inflation,
-            interference=interference,
-        )
+            summary = profile.summary()
+        if summary is None:
+            return 0.0, 0.0
+        return summary["p99_us"], summary["p99_us"] / alone_p99
+
+    def _interference(self, measurement: Measurement) -> float:
+        """Victim shared throughput over its fair bandwidth share."""
+        fair_gbps = self.floor.fair_share_gbps
+        if fair_gbps <= 0:
+            return UNDEFINED_INTERFERENCE
+        return measurement.directions[0].wire_gbps / fair_gbps

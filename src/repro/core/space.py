@@ -80,15 +80,10 @@ DIMENSION_GROUPS = {
     "message_pattern": ("avg_msg", "sg_layout", "duty_cycle"),
 }
 
-_ORDERED_CHOICES = {
-    "mtu": MTU_CHOICES,
-    "num_qps": QPS_CHOICES,
-    "wqe_batch": BATCH_CHOICES,
-    "sge_per_wqe": SGE_CHOICES,
-    "wq_depth": WQ_DEPTH_CHOICES,
-    "mrs_per_qp": MRS_PER_QP_CHOICES,
-    "mr_bytes": MR_BYTES_CHOICES,
-}
+#: Every dimension :meth:`SearchSpace.mutate` may pick, in draw order.
+_MUTABLE_DIMENSIONS = (
+    ORDERED_DIMENSIONS + CATEGORICAL_DIMENSIONS + (PATTERN_DIMENSION,)
+)
 
 #: The scalar dimensions :meth:`SearchSpace.random_many` draws, in draw
 #: order; the request vector's sizes follow them.
@@ -160,18 +155,37 @@ class SearchSpace:
 
     def ordered_choices(self, dimension: str) -> tuple[int, ...]:
         """Value ladder of an ordered dimension."""
-        base = dict(_ORDERED_CHOICES)
-        base["mtu"] = self.mtus
-        base["num_qps"] = self.qps_choices
-        base["wqe_batch"] = self.batch_choices
-        base["sge_per_wqe"] = self.sge_choices
-        base["wq_depth"] = self.wq_depth_choices
-        base["mrs_per_qp"] = self.mrs_per_qp_choices
-        base["mr_bytes"] = self.mr_bytes_choices
-        base["duty_cycle"] = self.duty_cycles
-        if dimension not in base:
+        if dimension not in ORDERED_DIMENSIONS:
             raise KeyError(f"{dimension!r} is not an ordered dimension")
-        return tuple(base[dimension])
+        return self._ladders[dimension]
+
+    @functools.cached_property
+    def _ladders(self) -> dict[str, tuple]:
+        """Every ordered dimension's value ladder, built once per space.
+
+        Plus ``avg_msg``, the message-size ladder coverage buckets onto.
+        ``mutate`` and ``coerce`` look ladders up on every call.
+        """
+        return {
+            "mtu": tuple(self.mtus),
+            "num_qps": tuple(self.qps_choices),
+            "wqe_batch": tuple(self.batch_choices),
+            "sge_per_wqe": tuple(self.sge_choices),
+            "wq_depth": tuple(self.wq_depth_choices),
+            "mrs_per_qp": tuple(self.mrs_per_qp_choices),
+            "mr_bytes": tuple(self.mr_bytes_choices),
+            "duty_cycle": tuple(self.duty_cycles),
+            "avg_msg": tuple(self.msg_size_choices),
+        }
+
+    @functools.cached_property
+    def _unsorted_ladders(self) -> frozenset:
+        """Dimensions whose custom ladder is not in ascending order."""
+        return frozenset(
+            dimension
+            for dimension, ladder in self._ladders.items()
+            if any(a > b for a, b in zip(ladder, ladder[1:]))
+        )
 
     def categorical_choices(self, dimension: str) -> tuple:
         if dimension == "qp_type":
@@ -216,13 +230,13 @@ class SearchSpace:
 
     def bucket_value(self, dimension: str, workload: WorkloadDescriptor):
         """The bucket a workload falls into on one dimension."""
-        if dimension == "avg_msg":
-            ladder = self.msg_size_choices
-            return ladder[self._nearest_index(ladder, workload.avg_msg_bytes)]
-        if dimension in ORDERED_DIMENSIONS:
-            ladder = self.ordered_choices(dimension)
-            return ladder[
-                self._nearest_index(ladder, getattr(workload, dimension))
+        if dimension in self._ladders:
+            value = (
+                workload.avg_msg_bytes if dimension == "avg_msg"
+                else getattr(workload, dimension)
+            )
+            return self._ladders[dimension][
+                self._nearest_index(dimension, value)
             ]
         value = getattr(workload, dimension)
         return getattr(value, "value", value)
@@ -328,16 +342,14 @@ class SearchSpace:
         return self.coerce(raw)
 
     def _mutate_raw(self, raw: dict, rng: np.random.Generator) -> None:
-        dims = (
-            list(ORDERED_DIMENSIONS)
-            + list(CATEGORICAL_DIMENSIONS)
-            + [PATTERN_DIMENSION]
-        )
-        dimension = dims[rng.choice(len(dims))]
+        # ``rng.integers(n)`` reads the bit stream as ``rng.choice(n)``
+        # does, for less (tests/core/test_space.py pins it by hash).
+        integers = rng.integers
+        dimension = _MUTABLE_DIMENSIONS[integers(len(_MUTABLE_DIMENSIONS))]
         if dimension == PATTERN_DIMENSION:
             pattern = list(raw["msg_sizes_bytes"])
             size = int(
-                self.msg_size_choices[rng.choice(len(self.msg_size_choices))]
+                self.msg_size_choices[integers(len(self.msg_size_choices))]
             )
             if rng.random() < 0.25:
                 # Macro-move: a uniform pattern of one size.  Uniform
@@ -346,15 +358,15 @@ class SearchSpace:
                 # search reach coordinated pattern states in one step.
                 pattern = [size] * len(pattern)
             else:
-                pattern[int(rng.integers(len(pattern)))] = size
+                pattern[int(integers(len(pattern)))] = size
             raw["msg_sizes_bytes"] = tuple(pattern)
         elif dimension in ORDERED_DIMENSIONS:
-            ladder = self.ordered_choices(dimension)
-            index = self._nearest_index(ladder, raw[dimension])
+            ladder = self._ladders[dimension]
+            index = self._nearest_index(dimension, raw[dimension])
             if rng.random() < 0.25:
-                raw[dimension] = ladder[rng.choice(len(ladder))]
+                raw[dimension] = ladder[integers(len(ladder))]
             else:
-                step = int(rng.choice((-2, -1, 1, 2)))
+                step = (-2, -1, 1, 2)[integers(4)]
                 raw[dimension] = ladder[
                     max(0, min(len(ladder) - 1, index + step))
                 ]
@@ -364,7 +376,7 @@ class SearchSpace:
                 if v != raw[dimension]
             ]
             if options:
-                raw[dimension] = options[rng.choice(len(options))]
+                raw[dimension] = options[integers(len(options))]
 
     def with_value(
         self, workload: WorkloadDescriptor, dimension: str, value
@@ -406,8 +418,8 @@ class SearchSpace:
             # A single-entry SG list has no layout to mix.
             raw["sg_layout"] = SGLayout.EVEN
         raw["num_qps"] = min(raw["num_qps"], MAX_QPS)
-        ladder = self.mrs_per_qp_choices
-        index = self._nearest_index(ladder, raw["mrs_per_qp"])
+        ladder = self._ladders["mrs_per_qp"]
+        index = self._nearest_index("mrs_per_qp", raw["mrs_per_qp"])
         while index > 0 and raw["num_qps"] * ladder[index] > MAX_TOTAL_MRS:
             index -= 1
         raw["mrs_per_qp"] = ladder[index]
@@ -436,9 +448,9 @@ class SearchSpace:
             "msg_sizes_bytes": workload.msg_sizes_bytes,
         }
 
-    @staticmethod
-    def _nearest_index(ladder: Sequence[int], value: int) -> int:
-        """Index of the ladder rung nearest ``value`` in log space.
+    def _nearest_index(self, dimension: str, value: int) -> int:
+        """Index of the rung of ``dimension``'s ladder nearest ``value``
+        in log space.
 
         Hot on both sides of the journal: coverage tracking buckets
         every visited experiment, and every read surface (``coverage``,
@@ -449,8 +461,8 @@ class SearchSpace:
         """
         if value <= 0:
             return 0
-        ladder = tuple(ladder)
-        if not _ladder_is_sorted(ladder):
+        ladder = self._ladders[dimension]
+        if dimension in self._unsorted_ladders:
             return min(
                 range(len(ladder)),
                 key=lambda i: abs(math.log2(ladder[i] / value)),
@@ -464,11 +476,6 @@ class SearchSpace:
         above = abs(math.log2(ladder[hi] / value))
         # <= keeps the full scan's tie-break: lowest rung wins a tie.
         return hi - 1 if below <= above else hi
-
-
-@functools.lru_cache(maxsize=64)
-def _ladder_is_sorted(ladder: tuple) -> bool:
-    return all(a <= b for a, b in zip(ladder, ladder[1:]))
 
 
 def changed_dimensions(

@@ -14,6 +14,7 @@ samples a subsystem once per simulated second and returns noisy readings.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping
 
 import numpy as np
@@ -68,10 +69,9 @@ _COUNTER_COLUMN = {name: i for i, name in enumerate(ALL_COUNTERS)}
 class CounterSample:
     """One per-second reading of every counter.
 
-    Both evaluation paths construct samples from a row vector over
-    ``ALL_COUNTERS``; the ``values`` mapping materializes lazily from
-    it.  Single-counter reads (the monitor's stability check) index the
-    row directly — the same float64 payload the dict would hold — so
+    A sample holds one row of floats over ``ALL_COUNTERS``; samples
+    built from a mapping read their row out of it once.  Single-counter
+    reads (the monitor's stability check) index the row directly, so
     the per-second dicts are only built for consumers that want a full
     mapping (tests, user code inspecting a measurement).
     """
@@ -81,25 +81,26 @@ class CounterSample:
     def __init__(self, second: int, values=None, row=None) -> None:
         self.second = second
         self._values = values
+        if row is None:
+            row = [values.get(name, 0.0) for name in ALL_COUNTERS]
         self._row = row
 
     @property
     def values(self) -> Mapping[str, float]:
         if self._values is None:
-            self._values = dict(zip(ALL_COUNTERS, self._row.tolist()))
+            self._values = dict(zip(ALL_COUNTERS, self._row))
         return self._values
 
     def __getitem__(self, counter: str) -> float:
-        row = self._row
-        if row is not None:
-            return row[_COUNTER_COLUMN[counter]]
+        column = _COUNTER_COLUMN.get(counter)
+        if column is not None:
+            return self._row[column]
         return self.values[counter]
 
     def get(self, counter: str, default: float = 0.0) -> float:
-        row = self._row
-        if row is not None:
-            column = _COUNTER_COLUMN.get(counter)
-            return row[column] if column is not None else default
+        column = _COUNTER_COLUMN.get(counter)
+        if column is not None:
+            return self._row[column]
         return self.values.get(counter, default)
 
     def __eq__(self, other) -> bool:
@@ -145,22 +146,28 @@ class VendorMonitor:
         ``Generator.normal`` call: numpy fills a batched request from
         the same bit stream as sequential scalar draws (second by
         second, counter by counter), so the readings are bit-identical
-        to the one-draw-per-counter formulation while skipping the
-        per-call overhead that dominates search wall time.
+        to the one-draw-per-counter formulation.  The rows themselves
+        are plain float lists: at 4 seconds x 14 counters, numpy's
+        per-call overhead costs more than the arithmetic, and
+        ``base * max(0.0, 1.0 + d)`` rounds exactly as the array form
+        (spelled as a conditional: the ``max`` call costs more).
         """
         seconds_list = list(seconds_list)
-        base = np.array(
-            [float(ideal.get(name, 0.0)) for name in ALL_COUNTERS]
-        )
-        rows = np.tile(base, (len(seconds_list), 1))
-        if self._noise > 0:
-            jitter = base > 0
-            active = int(jitter.sum())
-            if active:
-                draws = self._rng.normal(
-                    0.0, self._noise, size=(len(seconds_list), active)
-                )
-                rows[:, jitter] *= np.maximum(0.0, 1.0 + draws)
+        base = [float(ideal.get(name, 0.0)) for name in ALL_COUNTERS]
+        active = [i for i, value in enumerate(base) if value > 0]
+        if self._noise > 0 and active:
+            draws = self._rng.normal(
+                0.0, self._noise, size=(len(seconds_list), len(active))
+            ).tolist()
+            rows = []
+            for jitter in draws:
+                row = base.copy()
+                for i, d in zip(active, jitter):
+                    scale = 1.0 + d
+                    row[i] = base[i] * (scale if scale > 0.0 else 0.0)
+                rows.append(row)
+        else:
+            rows = [base.copy() for _ in seconds_list]
         return [
             CounterSample(second=second, row=row)
             for second, row in zip(seconds_list, rows)
@@ -170,18 +177,13 @@ class VendorMonitor:
 def average_counters(samples: list[CounterSample]) -> dict[str, float]:
     """Mean of each counter across samples (the paper averages 4 fetches).
 
-    One ``mean(axis=0)`` over the window matrix replaces a ``np.mean``
-    call per counter; for the 4-sample windows in play the reduction
-    order (sequential below numpy's pairwise blocking threshold) — and
-    therefore every bit of the result — is unchanged.
+    One column-sum pass from 0.0, second by second, then a division by
+    the window length: the summation order of numpy's axis-0 ``mean``
+    over the window matrix, and therefore every bit of its result
+    (``tests/hardware/test_counters.py`` pins this against numpy).
     """
-    if not samples:
-        return {name: 0.0 for name in ALL_COUNTERS}
-    rows = [getattr(sample, "_row", None) for sample in samples]
-    if any(row is None for row in rows):
-        matrix = np.array(
-            [[s.get(name) for name in ALL_COUNTERS] for s in samples]
-        )
-    else:
-        matrix = np.stack(rows)
-    return dict(zip(ALL_COUNTERS, matrix.mean(axis=0).tolist()))
+    totals = [0.0] * len(ALL_COUNTERS)
+    for sample in samples:
+        totals = list(map(add, totals, sample._row))
+    n = len(samples) or 1
+    return dict(zip(ALL_COUNTERS, [total / n for total in totals]))

@@ -1,5 +1,7 @@
 """The anomaly monitor's detection conditions (§5.2)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,17 @@ from repro.core.monitor import (
     LOW_THROUGHPUT,
     PAUSE_FRAME,
     AnomalyMonitor,
+    _numpy_sum,
 )
+from repro.hardware.counters import VendorMonitor
 from repro.hardware.model import SteadyStateModel
 from repro.hardware.workload import WorkloadDescriptor
 from repro.workloads.appendix import setting
+from tests.hardware.test_counters import (
+    IDENTITY_SEEDS,
+    IDENTITY_WINDOWS,
+    identity_ideals,
+)
 
 
 @pytest.fixture
@@ -96,3 +105,46 @@ class TestStability:
             subsystem_f, WorkloadDescriptor(), noise=0.5, seed=3
         )
         assert not monitor.is_stable(measurement)
+
+
+class TestStabilityIdentity:
+    """The plain-float stability check gives numpy's verdict bit for
+    bit: ``np.std(r) / np.mean(r)`` over the window's tx readings."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_verdicts_match_numpy(self, subsystem_f, noise):
+        monitor = AnomalyMonitor(subsystem_f)
+        for seed in IDENTITY_SEEDS:
+            for ideal in identity_ideals(seed):
+                vendor = VendorMonitor(np.random.default_rng(seed), noise)
+                for seconds in IDENTITY_WINDOWS:
+                    samples = vendor.sample_window(ideal, seconds)
+                    readings = np.array(
+                        [s.get("tx_bytes_per_sec") for s in samples]
+                    )
+                    mean = readings.mean()
+                    cv = float(readings.std() / mean) if mean > 0 else 0.0
+                    # At the reference CV the check passes and one ulp
+                    # below it fails, so every bit of the CV is pinned.
+                    measurement = SimpleNamespace(samples=samples)
+                    monitor.stability_cv = cv
+                    assert monitor.is_stable(measurement)
+                    monitor.stability_cv = np.nextafter(cv, -1.0)
+                    assert monitor.is_stable(measurement) == (mean <= 0)
+
+    def test_sum_follows_numpy_pairwise_order(self):
+        rng = np.random.default_rng(7)
+        for n in range(300):
+            values = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 12, n)
+            assert _numpy_sum(values.tolist()) == np.sum(values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_window_is_unstable_without_warnings(
+        self, monitor, subsystem_f
+    ):
+        measurement = SteadyStateModel(subsystem_f).evaluate(
+            WorkloadDescriptor(), np.random.default_rng(0), sample_seconds=0
+        )
+        assert measurement.samples == []
+        assert not monitor.is_stable(measurement)
+        assert monitor.classify(measurement).stable is False

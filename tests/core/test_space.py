@@ -205,6 +205,36 @@ class TestMutation:
         assert len(moved) >= 12
 
 
+#: SHA-256 of the golden ``mutate`` stream (see ``TestMutateGolden``),
+#: recorded with the ``rng.choice`` implementation of ``_mutate_raw``.
+MUTATE_STREAM_SHA256 = (
+    "5c1ddedfdb0e96f188c75e080f4b2bfb5e4c6ac6bb926511d7422de33d499ae7"
+)
+
+
+class TestMutateGolden:
+    """``mutate`` reads the generator exactly as it always has: 200
+    chained mutations per seed 1-20 on every identity space hash to a
+    literal recorded before any change to its draw calls."""
+
+    def test_chained_mutations_match_the_recorded_stream(self):
+        import hashlib
+
+        from repro.core.evalcache import canonical_point
+
+        digest = hashlib.sha256()
+        for name in sorted(IDENTITY_SPACES):
+            space = IDENTITY_SPACES[name]
+            for seed in range(1, 21):
+                rng = np.random.default_rng(seed)
+                workload = space.random(rng)
+                for _ in range(200):
+                    workload = space.mutate(workload, rng)
+                    digest.update(canonical_point(workload).encode())
+                digest.update(repr(rng.bit_generator.state).encode())
+        assert digest.hexdigest() == MUTATE_STREAM_SHA256
+
+
 class TestWithValue:
     def test_sets_ordered_dimension(self, space, rng):
         workload = space.random(rng)

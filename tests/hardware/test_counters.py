@@ -79,3 +79,73 @@ class TestAveraging:
         monitor = VendorMonitor(np.random.default_rng(0), noise=0.0)
         samples = monitor.sample_window({"qpc_cache_miss": 7.0}, 4)
         assert average_counters(samples)["qpc_cache_miss"] == pytest.approx(7.0)
+
+
+def numpy_window(ideal, seconds, rng, noise):
+    """The array formulation the plain-float sampler replaced.
+
+    Kept here only as the reference: one ``normal`` draw over the
+    active (ideal > 0) counters, scattered into a tiled matrix.
+    """
+    base = np.array([float(ideal.get(name, 0.0)) for name in ALL_COUNTERS])
+    rows = np.tile(base, (seconds, 1))
+    if noise > 0:
+        jitter = base > 0
+        active = int(jitter.sum())
+        if active:
+            draws = rng.normal(0.0, noise, size=(seconds, active))
+            rows[:, jitter] *= np.maximum(0.0, 1.0 + draws)
+    return rows
+
+
+def identity_ideals(seed):
+    """All-zero, partly-zero and fully-populated ideal counter sets."""
+    gen = np.random.default_rng(10_000 + seed)
+    magnitudes = 10.0 ** gen.uniform(-3, 11, size=len(ALL_COUNTERS))
+    full = dict(zip(ALL_COUNTERS, magnitudes.tolist()))
+    partly = {
+        name: value
+        for name, value, keep in zip(
+            ALL_COUNTERS, magnitudes.tolist(), gen.random(len(ALL_COUNTERS))
+        )
+        if keep < 0.5
+    }
+    return ({}, partly, full)
+
+
+IDENTITY_SEEDS = range(500)
+IDENTITY_WINDOWS = range(1, 17)
+
+
+class TestWindowIdentity:
+    """The plain-float window equals the numpy formulation bit for bit:
+    rows, averages and the generator state afterwards."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_rows_averages_and_state_match_numpy(self, noise):
+        for seed in IDENTITY_SEEDS:
+            for ideal in identity_ideals(seed):
+                rng = np.random.default_rng(seed)
+                reference_rng = np.random.default_rng(seed)
+                monitor = VendorMonitor(rng, noise=noise)
+                for seconds in IDENTITY_WINDOWS:
+                    window = monitor.sample_window(ideal, seconds)
+                    expected = numpy_window(
+                        ideal, seconds, reference_rng, noise
+                    )
+                    assert [
+                        [s.get(name) for name in ALL_COUNTERS] for s in window
+                    ] == expected.tolist()
+                    assert list(average_counters(window).values()) == (
+                        expected.mean(axis=0).tolist()
+                    )
+                assert (
+                    rng.bit_generator.state
+                    == reference_rng.bit_generator.state
+                )
+
+    def test_readings_are_python_floats(self):
+        monitor = VendorMonitor(np.random.default_rng(0))
+        for sample in monitor.sample_window({"tx_bytes_per_sec": 1e9}, 4):
+            assert type(sample.get("tx_bytes_per_sec")) is float
+            assert type(sample["rx_wqe_cache_miss"]) is float
